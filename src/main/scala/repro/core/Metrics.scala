@@ -1,7 +1,8 @@
 package repro.core
 
-import org.apache.spark.sql.{DataFrame, SparkSession}
+import org.apache.spark.sql.{DataFrame, Row, SparkSession}
 import org.apache.spark.sql.functions._
+import org.apache.spark.sql.types.{IntegerType, LongType, StructField, StructType}
 
 /** Partition-quality metrics of paper §II-B.
   *
@@ -58,13 +59,29 @@ object Metrics {
   }
 
   /** DataFrame `(id, src, dst, part)` from a stream + assignment, the
-    * input of the GAS engine and of the SQL-side metrics below. */
+    * input of the GAS engine and of the SQL-side metrics below. Rows are in
+    * edge order; each of `defaultParallelism` slices ships one contiguous
+    * range of the primitive arrays and builds its rows in the task. */
   def assignmentDF(spark: SparkSession, stream: EdgeStream, part: Array[Int]): DataFrame = {
-    import spark.implicits._
-    stream.src.indices
-      .map(i => (i.toLong, stream.src(i).toLong, stream.dst(i).toLong, part(i)))
-      .toDF("id", "src", "dst", "part")
+    require(part.length == stream.numEdges,
+      s"assignment length ${part.length} != |E| ${stream.numEdges}")
+    val n = stream.numEdges.toLong
+    val slices = spark.sparkContext.defaultParallelism
+    val ranges = (0 until slices).map { c =>
+      val (lo, hi) = ((n * c / slices).toInt, (n * (c + 1) / slices).toInt)
+      (lo, stream.src.slice(lo, hi), stream.dst.slice(lo, hi), part.slice(lo, hi))
+    }
+    val rows = spark.sparkContext.parallelize(ranges, slices).flatMap { case (lo, s, d, p) =>
+      s.indices.iterator.map(i => Row((lo + i).toLong, s(i).toLong, d(i).toLong, p(i)))
+    }
+    spark.createDataFrame(rows, AssignmentSchema)
   }
+
+  private val AssignmentSchema = StructType(Seq(
+    StructField("id", LongType, nullable = false),
+    StructField("src", LongType, nullable = false),
+    StructField("dst", LongType, nullable = false),
+    StructField("part", IntegerType, nullable = false)))
 
   /** Replication factor computed with the DataFrame API (Catalyst path);
     * cross-checked against DuckDB in the test suite. One row:

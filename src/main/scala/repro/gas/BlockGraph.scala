@@ -1,0 +1,306 @@
+package repro.gas
+
+import scala.collection.mutable.{ArrayBuffer, ArrayBuilder}
+import scala.reflect.ClassTag
+
+import org.apache.spark.HashPartitioner
+import org.apache.spark.rdd.RDD
+import org.apache.spark.sql.{DataFrame, SparkSession}
+import org.apache.spark.sql.classic.ClassicConversions.castToImpl
+import org.apache.spark.sql.functions.col
+
+/** The edges of the GAS partitions `part ≡ id (mod P)`, in primitive arrays.
+  *
+  * Local vertices are grouped by master block, so the values a master block
+  * sends land in one contiguous slot range, and the replicas too, so the
+  * partials for one master block are one contiguous range. Edges are sorted
+  * by (replica, src), so the layout depends only on the block's edge set,
+  * never on the order the input delivered it.
+  *
+  * @param vids      local vertex index: every endpoint of the block, sorted
+  *                  by (master block, not a source, id)
+  * @param src       per edge, slot of its source in `vids`
+  * @param rep       per edge, its dst replica, keyed by (master block,
+  *                  part, dst)
+  * @param repVertex per replica, slot of its vertex in `vids`
+  * @param groupStart slot offsets of the `2P` vertex groups: the sources
+  *                  mastered by `m` are `groupStart(2m) until
+  *                  groupStart(2m + 1)`, where the values `m` sends are
+  *                  copied; its other vertices follow, up to `groupStart(2m + 2)`
+  * @param repStart  replicas of vertices mastered by `m` are
+  *                  `repStart(m) until repStart(m + 1)`
+  * @param minPart   min(0, smallest GAS partition id), validated on the driver
+  */
+private[gas] final class EdgeBlock(
+    val id: Int,
+    val vids: Array[Long],
+    val src: Array[Int],
+    val rep: Array[Int],
+    val repVertex: Array[Int],
+    val groupStart: Array[Int],
+    val repStart: Array[Int],
+    val minPart: Int) extends Serializable {
+
+  def numEdges: Int = src.length
+  def numReplicas: Int = repVertex.length
+}
+
+private[gas] object EdgeBlock {
+
+  /** Builds block `id` of `p` from the edge arrays routed to it. */
+  def build(id: Int, p: Int, parts: Iterator[(Array[Long], Array[Long], Array[Int])]): EdgeBlock = {
+    val chunks = parts.toArray
+    val srcIds = Array.concat(chunks.map(_._1).toIndexedSeq: _*)
+    val dstIds = Array.concat(chunks.map(_._2).toIndexedSeq: _*)
+    val part = Array.concat(chunks.map(_._3).toIndexedSeq: _*)
+    val ne = srcIds.length
+    val byId = sortedDistinct(Array.concat(srcIds, dstIds))
+    val isSource = new Array[Boolean](byId.length)
+    srcIds.foreach(v => isSource(java.util.Arrays.binarySearch(byId, v)) = true)
+
+    // slot order: group 2m holds the sources mastered by m, group 2m+1 the rest
+    def group(i: Int) = 2 * masterOf(byId(i), p) + (if (isSource(i)) 0 else 1)
+    val groupStart = new Array[Int](2 * p + 1)
+    byId.indices.foreach(i => groupStart(group(i) + 1) += 1)
+    for (g <- 1 to 2 * p) groupStart(g) += groupStart(g - 1)
+    val slot = new Array[Int](byId.length)
+    val vids = new Array[Long](byId.length)
+    val fill = groupStart.clone()
+    var i = 0
+    while (i < byId.length) {
+      val g = group(i)
+      slot(i) = fill(g); vids(fill(g)) = byId(i); fill(g) += 1
+      i += 1
+    }
+    def slotOf(v: Long) = slot(java.util.Arrays.binarySearch(byId, v))
+
+    // replica keys (part, dst slot) per master block of dst
+    val repKeys = new Array[Long](ne)
+    val perMaster = Array.fill(p)(new ArrayBuilder.ofLong)
+    var minPart = 0
+    var e = 0
+    while (e < ne) {
+      repKeys(e) = (part(e).toLong << 32) | slotOf(dstIds(e))
+      perMaster(masterOf(dstIds(e), p)).addOne(repKeys(e))
+      minPart = math.min(minPart, part(e))
+      e += 1
+    }
+    val reps = perMaster.map(b => sortedDistinct(b.result()))
+    val repStart = reps.scanLeft(0)(_ + _.length)
+    val edgeKeys = new Array[Long](ne)
+    e = 0
+    while (e < ne) {
+      val m = masterOf(dstIds(e), p)
+      val r = repStart(m) + java.util.Arrays.binarySearch(reps(m), repKeys(e))
+      edgeKeys(e) = (r.toLong << 32) | slotOf(srcIds(e))
+      e += 1
+    }
+    java.util.Arrays.sort(edgeKeys)
+    val src = new Array[Int](ne)
+    val rep = new Array[Int](ne)
+    e = 0
+    while (e < ne) {
+      src(e) = edgeKeys(e).toInt
+      rep(e) = (edgeKeys(e) >>> 32).toInt
+      e += 1
+    }
+    new EdgeBlock(id, vids, src, rep, reps.flatMap(_.map(_.toInt)), groupStart, repStart, minPart)
+  }
+
+  /** Sorts `a` in place; returns its distinct values. */
+  def sortedDistinct(a: Array[Long]): Array[Long] = {
+    java.util.Arrays.sort(a)
+    var n = 0
+    var i = 0
+    while (i < a.length) {
+      if (n == 0 || a(i) != a(n - 1)) { a(n) = a(i); n += 1 }
+      i += 1
+    }
+    java.util.Arrays.copyOf(a, n)
+  }
+
+  /** The master block of vertex `v`. */
+  def masterOf(v: Long, p: Int): Int = java.lang.Math.floorMod(v, p.toLong).toInt
+}
+
+/** The masters of the vertices `v ≡ id (mod P)` and the routing table that
+  * links them to their replicas in each edge block.
+  *
+  * @param ids      sorted vertex ids
+  * @param outDeg   global out-degree of each vertex
+  * @param outRoute per edge block `b`, positions in `ids` of `b`'s sources
+  *                 mastered here, in `b`'s slot order — the values sent to `b`
+  * @param inRoute  per edge block `b`, positions in `ids` of `b`'s replicas
+  *                 mastered here, in replica order — the partials `b` sends
+  */
+private[gas] final class MasterBlock(
+    val id: Int,
+    val ids: Array[Long],
+    val outDeg: Array[Int],
+    val outRoute: Array[Array[Int]],
+    val inRoute: Array[Array[Int]]) extends Serializable
+
+private[gas] object MasterBlock {
+
+  /** What edge block `b` tells master block `m` at load: its sources
+    * mastered by `m` in slot order with their local out-degrees, its other
+    * vertices mastered by `m`, and the vertex of each of its replicas
+    * mastered by `m`. */
+  type Announce = (Array[Long], Array[Int], Array[Long], Array[Long])
+
+  def announce(b: EdgeBlock, p: Int): Iterator[(Int, (Int, Announce))] = {
+    val deg = new Array[Int](b.vids.length)
+    b.src.foreach(deg(_) += 1)
+    val g = b.groupStart
+    (0 until p).iterator.map { m =>
+      (m, (b.id, (b.vids.slice(g(2 * m), g(2 * m + 1)), deg.slice(g(2 * m), g(2 * m + 1)),
+        b.vids.slice(g(2 * m + 1), g(2 * m + 2)),
+        b.repVertex.slice(b.repStart(m), b.repStart(m + 1)).map(b.vids))))
+    }.filter { case (m, _) => g(2 * m + 2) > g(2 * m) }
+  }
+
+  def build(id: Int, p: Int, msgs: Iterator[(Int, (Int, Announce))]): MasterBlock = {
+    val from = BlockGraph.bySender[Announce](p, msgs)
+    val ids = EdgeBlock.sortedDistinct(Array.concat(
+      from.filter(_ != null).flatMap(a => Seq(a._1, a._3)).toIndexedSeq: _*))
+    def positions(vs: Array[Long]) = vs.map(java.util.Arrays.binarySearch(ids, _))
+    val outDeg = new Array[Int](ids.length)
+    val outRoute = Array.fill(p)(Array.emptyIntArray)
+    val inRoute = Array.fill(p)(Array.emptyIntArray)
+    for (b <- 0 until p if from(b) != null) {
+      val (sources, deg, _, repIds) = from(b)
+      outRoute(b) = positions(sources)
+      outRoute(b).indices.foreach(i => outDeg(outRoute(b)(i)) += deg(i))
+      inRoute(b) = positions(repIds)
+    }
+    new MasterBlock(id, ids, outDeg, outRoute, inRoute)
+  }
+}
+
+/** A vertex-cut graph loaded into `P = defaultParallelism` edge blocks and
+  * `P` master blocks, GraphX-style: GAS partition `part` lives in edge
+  * block `part % P`, the master of vertex `v` in master block `v % P`.
+  * Edges never move after load; a superstep ships one value array per
+  * (master block, edge block) pair and one partial array back.
+  *
+  * Every RDD the graph caches is released by [[release]].
+  */
+private[gas] final class BlockGraph private (
+    p: Int,
+    edges: RDD[EdgeBlock],
+    val masters: RDD[MasterBlock],
+    val numVertices: Long) {
+  import BlockGraph.{bySender, only}
+
+  private val partitioner = new HashPartitioner(p)
+  private val cached = ArrayBuffer[RDD[_]](edges, masters)
+
+  /** Caches `rdd` until [[drop]] or [[release]]. */
+  def keep[A](rdd: RDD[A]): RDD[A] = { cached += rdd.persist(); rdd }
+
+  def drop(rdd: RDD[_]): Unit = { cached -= rdd; rdd.unpersist(blocking = false) }
+
+  def release(): Unit = { cached.foreach(_.unpersist(blocking = false)); cached.clear() }
+
+  /** One gather–apply round over per-master-block state `V`, with
+    * messages of `A` values.
+    *
+    * @param scatter the values master block `m` sends to edge block `b`,
+    *                one per `m.outRoute(b)` entry
+    * @param gather  an edge block's local gather: from one value per slot
+    *                (set for sources only) to one partial per replica
+    * @param apply   a master block's update from its state and the partials
+    *                of each edge block (null where none), indexed by block
+    */
+  def superstep[V: ClassTag, A: ClassTag](state: RDD[V])(
+      scatter: (MasterBlock, V, Int) => Array[A],
+      gather: (EdgeBlock, Array[A]) => Array[A],
+      apply: (MasterBlock, V, Array[Array[A]]) => V): RDD[V] = {
+    val p = this.p
+    val toMirrors = masters.zipPartitions(state) { (ms, vs) =>
+      val mb = only(ms); val v = only(vs)
+      (0 until p).iterator.filter(mb.outRoute(_).nonEmpty).map(b => (b, (mb.id, scatter(mb, v, b))))
+    }.partitionBy(partitioner)
+    val toMasters = edges.zipPartitions(toMirrors) { (es, msgs) =>
+      val eb = only(es)
+      val vals = new Array[A](eb.vids.length)
+      val in = bySender(p, msgs)
+      for (m <- 0 until p if in(m) != null)
+        System.arraycopy(in(m), 0, vals, eb.groupStart(2 * m), in(m).length)
+      val acc = gather(eb, vals)
+      (0 until p).iterator.filter(m => eb.repStart(m + 1) > eb.repStart(m))
+        .map(m => (m, (eb.id, acc.slice(eb.repStart(m), eb.repStart(m + 1)))))
+    }.partitionBy(partitioner)
+    masters.zipPartitions(state, toMasters) { (ms, vs, msgs) =>
+      Iterator(apply(only(ms), only(vs), bySender(p, msgs)))
+    }
+  }
+
+  /** `(ids, values)` of each master block, cached (not released with the
+    * graph) and materialized. */
+  def result[V: ClassTag](state: RDD[V]): RDD[(Array[Long], V)] = {
+    val out = masters.zipPartitions(state)((ms, vs) => Iterator((only(ms).ids, only(vs))))
+      .persist()
+    out.count()
+    out
+  }
+}
+
+private[gas] object BlockGraph {
+
+  /** Loads `(src, dst, part)` of `assigned` into blocks; with `undirected`
+    * every edge is also loaded reversed, on the same GAS partition.
+    *
+    * @throws IllegalArgumentException on a negative partition id
+    */
+  def load(spark: SparkSession, assigned: DataFrame, undirected: Boolean): BlockGraph = {
+    val sc = spark.sparkContext
+    val p = sc.defaultParallelism
+    val partitioner = new HashPartitioner(p)
+    val rows = castToImpl(assigned.select(
+      col("src").cast("long"), col("dst").cast("long"), col("part").cast("int"))).queryExecution.toRdd
+    val routed = rows.mapPartitions { it =>
+      val src = Array.fill(p)(new ArrayBuilder.ofLong)
+      val dst = Array.fill(p)(new ArrayBuilder.ofLong)
+      val part = Array.fill(p)(new ArrayBuilder.ofInt)
+      def add(s: Long, d: Long, q: Int): Unit = {
+        val b = java.lang.Math.floorMod(q, p)
+        src(b).addOne(s); dst(b).addOne(d); part(b).addOne(q)
+      }
+      it.foreach { r =>
+        add(r.getLong(0), r.getLong(1), r.getInt(2))
+        if (undirected) add(r.getLong(1), r.getLong(0), r.getInt(2))
+      }
+      (0 until p).iterator.map(b => (b, (src(b).result(), dst(b).result(), part(b).result())))
+        .filter(_._2._1.nonEmpty)
+    }.partitionBy(partitioner)
+    val edges = routed.mapPartitionsWithIndex((b, it) => Iterator(EdgeBlock.build(b, p, it.map(_._2))))
+      .persist()
+    val minPart = edges.map(_.minPart).collect().min
+    if (minPart < 0) {
+      edges.unpersist(blocking = false)
+      throw new IllegalArgumentException(s"negative GAS partition id $minPart")
+    }
+    val masters = edges.flatMap(MasterBlock.announce(_, p)).partitionBy(partitioner)
+      .mapPartitionsWithIndex((m, it) => Iterator(MasterBlock.build(m, p, it)))
+      .persist()
+    val n = masters.map(_.ids.length.toLong).collect().sum
+    new BlockGraph(p, edges, masters, n)
+  }
+
+  /** The one block of a partition; reading its iterator to the end
+    * releases the cache lock on it. */
+  def only[A](it: Iterator[A]): A = {
+    val a = it.next()
+    assert(!it.hasNext, "a partition holds one block")
+    a
+  }
+
+  /** Messages `(to, (from, payload))` placed by sender block id, so every
+    * fold over them runs in sender order, whatever the fetch order. */
+  def bySender[M <: AnyRef : ClassTag](p: Int, msgs: Iterator[(Int, (Int, M))]): Array[M] = {
+    val out = new Array[M](p)
+    msgs.foreach { case (_, (from, m)) => out(from) = m }
+    out
+  }
+}

@@ -1,10 +1,13 @@
 package repro.gas
 
-import org.apache.spark.sql.{DataFrame, SparkSession}
-import org.apache.spark.sql.functions._
+import org.apache.spark.rdd.RDD
+import org.apache.spark.sql.{DataFrame, Row, SparkSession}
+import org.apache.spark.sql.types.{DataType, DoubleType, LongType, StructField, StructType}
+
+import BlockGraph.only
 
 /** PowerGraph-like Gather-Apply-Scatter engine over a vertex-cut
-  * placement, on Spark DataFrames.
+  * placement, on the primitive-array blocks of [[BlockGraph]].
   *
   * Each iteration is the GAS two-level aggregation the real system runs:
   * a *local* gather per (vertex, partition) — the work each distributed
@@ -12,7 +15,10 @@ import org.apache.spark.sql.functions._
   * partitions, which is exactly the mirror→master synchronization whose
   * message count the paper's Fig. 8 measures. Values are therefore
   * identical to a single-machine run, while costs (max per-partition
-  * edges, mirror messages) come from the placement.
+  * edges, mirror messages) come from the placement. Messages are folded
+  * in sender order, so results are bitwise identical from call to call.
+  * Every block a call caches is released before it returns, except the
+  * returned result.
   */
 object GasEngine {
 
@@ -27,69 +33,137 @@ object GasEngine {
     */
   def pageRank(spark: SparkSession, assigned: DataFrame, iters: Int = 10,
                damping: Double = 0.85): DataFrame = {
-    val edges = assigned.select("src", "dst", "part").localCheckpoint(true)
-    val verts = edges.select(col("src") as "v")
-      .union(edges.select(col("dst") as "v")).distinct().localCheckpoint(true)
-    val n = verts.count().toDouble
-    val outDeg = edges.groupBy(col("src") as "v").agg(count(lit(1)) as "outdeg")
-      .localCheckpoint(true)
-
-    var ranks = verts.select(col("v"), lit(1.0 / n) as "rank").localCheckpoint(true)
-    var it = 0
-    while (it < iters) {
-      val withDeg = ranks.join(outDeg, Seq("v"), "left")
-      val dangling = withDeg.where(col("outdeg").isNull)
-        .agg(coalesce(sum("rank"), lit(0.0))).collect()(0).getDouble(0)
-      // local gather: each partition sums contributions on its own edges
-      val localGather = edges
-        .join(withDeg.where(col("outdeg").isNotNull), edges("src") === withDeg("v"))
-        .select(col("dst"), col("part"), (col("rank") / col("outdeg")) as "contrib")
-        .groupBy(col("dst"), col("part"))
-        .agg(sum("contrib") as "partial")
-      // mirror→master combine: partials cross partitions to the master
-      val gathered = localGather.groupBy(col("dst") as "v").agg(sum("partial") as "acc")
-      ranks = verts.join(gathered, Seq("v"), "left")
-        .select(col("v"),
-          (lit((1.0 - damping) / n) +
-            lit(damping) * (coalesce(col("acc"), lit(0.0)) + lit(dangling / n))) as "rank")
-        .localCheckpoint(true)
-      it += 1
-    }
-    ranks
+    require(iters >= 0, s"iters must be >= 0, got $iters")
+    require(damping >= 0.0 && damping <= 1.0, s"damping must be in [0, 1], got $damping")
+    val g = BlockGraph.load(spark, assigned, undirected = false)
+    try {
+      val n = g.numVertices.toDouble
+      var ranks = g.keep(g.masters.map(mb => Array.fill(mb.ids.length)(1.0 / n)))
+      var dangling = danglingMass(g, ranks)
+      var it = 0
+      while (it < iters && n > 0) {
+        val next = g.keep(g.superstep(ranks)(scatterRank, gatherSum,
+          applyRank((1.0 - damping) / n, damping, dangling / n)))
+        dangling = danglingMass(g, next)
+        g.drop(ranks)
+        ranks = next
+        it += 1
+      }
+      resultDF(spark, g.result(ranks), "rank", DoubleType)
+    } finally g.release()
   }
 
   /** Connected components (edges treated as undirected, as PowerGraph's
     * CC does): iterated min-label propagation until a fixpoint.
     *
     * @return DataFrame `(v, component)` where component is the minimum
-    *         vertex id of the component
+    *         vertex id of the component, and the number of iterations run
     */
   def connectedComponents(spark: SparkSession, assigned: DataFrame,
                           maxIters: Int = 50): (DataFrame, Int) = {
-    val und = assigned.select(col("src") as "a", col("dst") as "b", col("part"))
-      .union(assigned.select(col("dst") as "a", col("src") as "b", col("part")))
-      .localCheckpoint(true)
-    val verts = und.select(col("a") as "v").distinct().localCheckpoint(true)
-    var labels = verts.select(col("v"), col("v") as "component").localCheckpoint(true)
-    var it = 0
-    var converged = false
-    while (it < maxIters && !converged) {
-      // local gather of neighbour minima per partition, then master combine
-      val localMin = und.join(labels, und("b") === labels("v"))
-        .groupBy(col("a"), col("part")).agg(min("component") as "partial")
-      val gathered = localMin.groupBy(col("a") as "v").agg(min("partial") as "nbrMin")
-      val next = labels.join(gathered, Seq("v"), "left")
-        .select(col("v"),
-          least(col("component"), coalesce(col("nbrMin"), col("component"))) as "component")
-        .localCheckpoint(true)
-      val changed = next.join(labels.withColumnRenamed("component", "old"), "v")
-        .where(col("component") =!= col("old")).count()
-      labels = next
-      converged = changed == 0
-      it += 1
-    }
-    (labels, it)
+    require(maxIters >= 0, s"maxIters must be >= 0, got $maxIters")
+    val g = BlockGraph.load(spark, assigned, undirected = true)
+    try {
+      var labels = g.keep(g.masters.map(_.ids))
+      var it = 0
+      var converged = g.numVertices == 0
+      while (it < maxIters && !converged) {
+        val next = g.keep(g.superstep(labels)(scatterLabel, gatherMin, applyMin))
+        val changed = labels.zipPartitions(next) { (as, bs) =>
+          val (a, b) = (only(as), only(bs))
+          Iterator(a.indices.count(i => a(i) != b(i)).toLong)
+        }.collect().sum
+        g.drop(labels)
+        labels = next
+        converged = changed == 0
+        it += 1
+      }
+      (resultDF(spark, g.result(labels), "component", LongType), it)
+    } finally g.release()
   }
+
+  /** Rank mass on vertices without out-edges, summed in block order. */
+  private def danglingMass(g: BlockGraph, ranks: RDD[Array[Double]]): Double =
+    g.masters.zipPartitions(ranks) { (ms, rs) =>
+      val (mb, r) = (only(ms), only(rs))
+      var sum = 0.0
+      var v = 0
+      while (v < r.length) { if (mb.outDeg(v) == 0) sum += r(v); v += 1 }
+      Iterator(sum)
+    }.collect().sum
+
+  private def scatterRank(mb: MasterBlock, r: Array[Double], b: Int): Array[Double] = {
+    val route = mb.outRoute(b)
+    val out = new Array[Double](route.length)
+    var i = 0
+    while (i < route.length) { out(i) = r(route(i)) / mb.outDeg(route(i)); i += 1 }
+    out
+  }
+
+  private def gatherSum(eb: EdgeBlock, vals: Array[Double]): Array[Double] = {
+    val acc = new Array[Double](eb.numReplicas)
+    var e = 0
+    while (e < eb.numEdges) { acc(eb.rep(e)) += vals(eb.src(e)); e += 1 }
+    acc
+  }
+
+  private def applyRank(base: Double, damping: Double, danglingShare: Double)(
+      mb: MasterBlock, r: Array[Double], partials: Array[Array[Double]]): Array[Double] = {
+    val acc = new Array[Double](r.length)
+    var b = 0
+    while (b < partials.length) {
+      if (partials(b) != null) {
+        val route = mb.inRoute(b); val msg = partials(b)
+        var i = 0
+        while (i < msg.length) { acc(route(i)) += msg(i); i += 1 }
+      }
+      b += 1
+    }
+    var v = 0
+    while (v < acc.length) { acc(v) = base + damping * (acc(v) + danglingShare); v += 1 }
+    acc
+  }
+
+  private def scatterLabel(mb: MasterBlock, c: Array[Long], b: Int): Array[Long] = {
+    val route = mb.outRoute(b)
+    val out = new Array[Long](route.length)
+    var i = 0
+    while (i < route.length) { out(i) = c(route(i)); i += 1 }
+    out
+  }
+
+  private def gatherMin(eb: EdgeBlock, vals: Array[Long]): Array[Long] = {
+    val acc = Array.fill(eb.numReplicas)(Long.MaxValue)
+    var e = 0
+    while (e < eb.numEdges) {
+      val r = eb.rep(e)
+      acc(r) = math.min(acc(r), vals(eb.src(e)))
+      e += 1
+    }
+    acc
+  }
+
+  private def applyMin(mb: MasterBlock, c: Array[Long], partials: Array[Array[Long]]): Array[Long] = {
+    val next = c.clone()
+    var b = 0
+    while (b < partials.length) {
+      if (partials(b) != null) {
+        val route = mb.inRoute(b); val msg = partials(b)
+        var i = 0
+        while (i < msg.length) { next(route(i)) = math.min(next(route(i)), msg(i)); i += 1 }
+      }
+      b += 1
+    }
+    next
+  }
+
+  /** Rows `(v, name)` of the result blocks. */
+  private def resultDF[A](spark: SparkSession, blocks: RDD[(Array[Long], Array[A])], name: String,
+                          valueType: DataType): DataFrame =
+    spark.createDataFrame(
+      blocks.flatMap { case (ids, values) => ids.indices.iterator.map(i => Row(ids(i), values(i))) },
+      StructType(Seq(StructField("v", LongType, nullable = false),
+        StructField(name, valueType, nullable = false))))
 
   /** Exact driver-side PageRank reference (same formulation) for
     * correctness checks of the GAS path. */

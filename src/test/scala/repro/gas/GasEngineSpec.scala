@@ -31,6 +31,7 @@ class GasEngineSpec extends SparkSpec {
     val ranks = GasEngine.pageRank(spark, df, iters = 10)
       .collect().map(r => (r.getLong(0).toInt, r.getDouble(1))).toMap
     val ref = GasEngine.pageRankReference(s.src, s.dst, s.numVertices, iters = 10)
+    assert(ranks.keySet == (0 until s.numVertices).toSet)
     ref.indices.filter(v => ranks.contains(v)).foreach { v =>
       assert(math.abs(ranks(v) - ref(v)) < 1e-9, s"v=$v got ${ranks(v)} want ${ref(v)}")
     }
@@ -104,5 +105,53 @@ class GasEngineSpec extends SparkSpec {
     // the sink holds the highest rank
     val sinkDense = s.dst(0)
     assert(ranks(sinkDense.toLong) == ranks.values.max)
+  }
+
+  test("pageRank and connectedComponents return no rows for an empty assignment") {
+    val s = new EdgeStream(Array.emptyIntArray, Array.emptyIntArray, 0)
+    val df = Metrics.assignmentDF(spark, s, Array.emptyIntArray)
+    assert(GasEngine.pageRank(spark, df).count() == 0)
+    val (labels, _) = GasEngine.connectedComponents(spark, df)
+    assert(labels.count() == 0)
+  }
+
+  test("bad arguments fail with an IllegalArgumentException naming the value") {
+    val (s, df) = assigned(2)
+    def failsNaming(value: String)(body: => Any): Unit = {
+      val e = intercept[IllegalArgumentException](body)
+      assert(e.getMessage.contains(value), e.getMessage)
+    }
+    failsNaming("-1")(GasEngine.pageRank(spark, df, iters = -1))
+    failsNaming("1.5")(GasEngine.pageRank(spark, df, damping = 1.5))
+    failsNaming("-0.1")(GasEngine.pageRank(spark, df, damping = -0.1))
+    failsNaming("-2")(GasEngine.connectedComponents(spark, df, maxIters = -2))
+    val negative = Metrics.assignmentDF(spark, s, Array.tabulate(s.numEdges)(i => if (i == 7) -3 else 0))
+    failsNaming("-3")(GasEngine.pageRank(spark, negative))
+    failsNaming("-3")(GasEngine.connectedComponents(spark, negative))
+  }
+
+  test("each call caches nothing but its result") {
+    val (_, df) = assigned(4)
+    def persisted = spark.sparkContext.getPersistentRDDs.size
+    val before = persisted
+    val ranks = GasEngine.pageRank(spark, df, iters = 3)
+    assert(persisted <= before + 1)
+    val (labels, _) = GasEngine.connectedComponents(spark, df)
+    assert(persisted <= before + 2)
+    assert(ranks.count() > 0 && labels.count() > 0)
+  }
+
+  test("results are bitwise identical from call to call") {
+    val (s, df) = assigned(4)
+    def ranks(): Array[Double] = {
+      val out = new Array[Double](s.numVertices)
+      GasEngine.pageRank(spark, df, iters = 5).collect()
+        .foreach(r => out(r.getLong(0).toInt) = r.getDouble(1))
+      out
+    }
+    assert(java.util.Arrays.equals(ranks(), ranks()))
+    def labels() = GasEngine.connectedComponents(spark, df)._1.collect()
+      .map(r => (r.getLong(0), r.getLong(1))).sorted
+    assert(labels().sameElements(labels()))
   }
 }
