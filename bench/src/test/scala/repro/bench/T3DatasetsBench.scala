@@ -1,11 +1,12 @@
 package repro.bench
 
-import repro.{SparkSpec, WebGraphs}
+import repro.{SparkSpec, TestGraphs, WebGraphs}
 
 /** Paper Table III — dataset statistics. Our synthetic substitutes sit at
   * ~1/1000 of the originals; the table reports realized |V|, |E| and an
   * estimated on-disk size (16 B/edge, matching the paper's edge-list
-  * accounting order of magnitude).
+  * accounting order of magnitude). |V|, |E| and the order-sensitive hash
+  * of the stream's `(src, dst)` columns fingerprint each dataset.
   */
 class T3DatasetsBench extends SparkSpec {
 
@@ -22,10 +23,11 @@ class T3DatasetsBench extends SparkSpec {
       val seen = s.degrees.count(_ > 0)
       val (src, pv, pe) = paper(spec.name)
       Seq(spec.name, src, seen.toString, s.numEdges.toString,
-        f"${16.0 * s.numEdges / 1e6}%.1f MB", pv, pe)
+        f"${16.0 * s.numEdges / 1e6}%.1f MB", pv, pe, f"${TestGraphs.streamHash(s)}%016x")
     }
     BenchData.emit("T3 datasets (synthetic, ~1/1000 scale)",
-      Seq("alias", "paper_source", "V", "E", "size_est", "paper_V", "paper_E"), rows)
+      Seq("alias", "paper_source", "V", "E", "size_est", "paper_V", "paper_E", "stream_hash"),
+      rows)
 
     // scale sanity: relative |E| ordering mirrors the paper
     val e = WebGraphs.all.map(sp => sp.name -> BenchData.stream(spark, sp.name).numEdges).toMap

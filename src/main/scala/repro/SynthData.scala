@@ -1,8 +1,13 @@
 package repro
 
-import org.apache.spark.sql.{DataFrame, SparkSession}
+import scala.collection.mutable.ArrayBuilder
+import scala.util.hashing.MurmurHash3
+
+import org.apache.spark.HashPartitioner
+import org.apache.spark.sql.{DataFrame, Row, SparkSession}
 import org.apache.spark.sql.functions._
 import org.apache.spark.sql.types._
+import repro.Blocks.{bySender, sortedDistinct}
 
 /** Synthetic OLAP data at a configurable scale factor.
   *
@@ -99,18 +104,6 @@ object SynthData {
     )
   }
 
-  /** Bounded-Zipf rank draw as a Catalyst expression: a rank in `[1, n]`
-    * with pmf ∝ `r^(-q)` (q ≠ 1), via the inverse CDF
-    * `r = (1 + u·(n^(1−q) − 1))^(1/(1−q))`. The *degree-distribution*
-    * exponent this induces over ranks is `α = 1 + 1/q` — q≈0.9 gives the
-    * web's α≈2.1.
-    */
-  private def zipfRank(n: Long, q: Double, u: org.apache.spark.sql.Column) = {
-    val a = math.pow(n.toDouble, 1.0 - q) - 1.0
-    least(lit(n), greatest(lit(1L),
-      pow(u * a + 1.0, 1.0 / (1.0 - q)).cast(LongType)))
-  }
-
   /** Synthetic power-law web graph in BFS/crawl order.
     *
     * Substitute for the WebGraph crawls of the CLUGP paper (uk-2002,
@@ -137,46 +130,59 @@ object SynthData {
     * The edge stream is the id order; [[repro.core.EdgeStream]] sorts by
     * `(src, id)` — the BFS arrival order the paper assumes (§II fn. 1).
     * Self-loops and duplicate edges are removed (real crawls are simple
-    * graphs; duplicates would distort hashing balance), so the realized
-    * edge count lands below `nEdges`. Deterministic in all arguments.
+    * graphs; duplicates would distort hashing balance), keeping the copy
+    * with the lowest id, so the realized edge count lands below `nEdges`.
     *
-    * Columns: `src: Long, dst: Long, id: Long` (1-based vertex ids).
+    * Deterministic in all arguments, on any core count: edge ids are drawn
+    * in 16 fixed slices, each with its own seeded XORShift streams, and
+    * dedup runs in 16 blocks by `src mod 16`, all on primitive arrays. The
+    * draws are those of `rand(seed)` columns over a 16-partition
+    * `spark.range(nEdges)`, so the rows equal those of the Catalyst plan
+    * this generator replaced, run at 16 partitions.
+    *
+    * Columns: `src: Long, dst: Long, id: Long` (1-based vertex ids), non-null.
+    *
+    * @throws IllegalArgumentException if `nVertices` is outside
+    *         `[1, Int.MaxValue]`, `nEdges < 0`, `hostSize < 1`, `pIntra`,
+    *         `pNear` or their sum is outside `[0, 1]`, or a `q` equals 1
     */
   def webGraph(spark: SparkSession, nVertices: Long, nEdges: Long,
                hostSize: Long = 40, pIntra: Double = 0.75, pNear: Double = 0.21,
                hostOffsetScale: Double = 3.0,
                qOut: Double = 0.25, qIn: Double = 0.5, qIntra: Double = 0.3,
                seed: Long = 42): DataFrame = {
-    val nV = nVertices
-    val nHosts = (nV + hostSize - 1) / hostSize
-    val srcCol = zipfRank(nV, qOut, rand(seed))
-    val hubCol = zipfRank(nV, qIn, rand(seed + 1))
-    // signed exponential host offset for neighbor-host links
-    val offMag = ceil(-log(rand(seed + 4) + lit(1e-12)) * hostOffsetScale).cast(LongType)
-    val off    = when(rand(seed + 5) < 0.5, -offMag).otherwise(offMag)
-    spark.range(nEdges)
-      .select(col("id"), srcCol as "src", hubCol as "hub",
-              zipfRank(hostSize, qIntra, rand(seed + 2)) as "slot",
-              zipfRank(hostSize, qIntra, rand(seed + 6)) as "slot2",
-              off as "hoff",
-              rand(seed + 3) as "mix")
-      .select(col("id"), col("src"), col("hub"), col("slot"), col("slot2"), col("mix"),
-              // neighbor host id, clamped into range
-              least(lit(nHosts - 1), greatest(lit(0L),
-                floor((col("src") - 1) / hostSize) + col("hoff"))) as "nearHost")
-      .select(
-        col("src"),
-        when(col("mix") < pIntra,
-             // intra-host: a zipf slot within the source's host block
-             least(lit(nV), ((col("src") - 1) - pmod(col("src") - 1, lit(hostSize))) + col("slot")))
-          .when(col("mix") < pIntra + pNear,
-             // neighbor host: zipf slot within a nearby host block
-             least(lit(nV), col("nearHost") * hostSize + col("slot2")))
-          .otherwise(col("hub")) as "dst",
-        col("id"))
-      .where(col("src") =!= col("dst"))
-      .groupBy(col("src"), col("dst")).agg(min(col("id")) as "id") // dedup, keep first
+    require(nVertices >= 1 && nVertices <= Int.MaxValue,
+      s"nVertices must be in [1, ${Int.MaxValue}], got $nVertices")
+    require(nEdges >= 0, s"nEdges must be >= 0, got $nEdges")
+    require(hostSize >= 1, s"hostSize must be >= 1, got $hostSize")
+    require(pIntra >= 0 && pIntra <= 1, s"pIntra must be in [0, 1], got $pIntra")
+    require(pNear >= 0 && pNear <= 1, s"pNear must be in [0, 1], got $pNear")
+    require(pIntra + pNear <= 1, s"pIntra + pNear must be in [0, 1], got ${pIntra + pNear}")
+    for ((name, q) <- Seq("qOut" -> qOut, "qIn" -> qIn, "qIntra" -> qIntra))
+      require(q != 1.0, s"$name must not be 1: the Zipf inverse CDF divides by 1 - q")
+    val draw = WebGraphDraw(nVertices, nEdges, hostSize, pIntra, pNear, hostOffsetScale,
+                            qOut, qIn, qIntra, seed)
+    val slices = Slices
+    val rows = spark.sparkContext.parallelize(0 until slices, slices)
+      .flatMap(draw.slice(_, slices))
+      .partitionBy(new HashPartitioner(slices))
+      .mapPartitions(msgs => WebGraphDraw.firstCopies(bySender(slices, msgs)))
+    spark.createDataFrame(rows, EdgeSchema)
   }
+
+  /** Slice and block count of [[webGraph]], fixed so its edges do not
+    * depend on the core count. */
+  private val Slices = 16
+
+  private val EdgeSchema = StructType(Seq(
+    StructField("src", LongType, nullable = false),
+    StructField("dst", LongType, nullable = false),
+    StructField("id", LongType, nullable = false)))
+
+  /** First id of slice `p` of `slices` over ids `[0, n)`: `p·n/slices`, in
+    * `BigInt` as Spark's `RangeExec` splits `spark.range(n)`. */
+  private[repro] def sliceStart(n: Long, slices: Int, p: Int): Long =
+    (BigInt(p) * n / slices).toLong
 
   /** BFS-prefix sample of a web graph: the subgraph induced by the first
     * `fraction` of vertex ids (crawl-order prefix — the natural way to
@@ -227,4 +233,125 @@ object WebGraphs {
   val Tiny = GraphSpec("tiny", 4_000L, 36_000L, 10, 0.70, 0.26, 0.5, 7)
   /** Tiny social graph (no host structure) for unit tests. */
   val TinySocial = GraphSpec("tiny-social", 4_000L, 36_000L, 1, 0.0, 0.0, 0.55, 8)
+}
+
+/** The draws of [[SynthData.webGraph]]. Each replays, value for value, the
+  * Catalyst plan the generator used to be (kept as the test reference) run
+  * over `spark.range(nEdges)` in 16 partitions: a `rand(s)` column of
+  * partition `p` reads a [[XorShift]] seeded with `s + p`, and the
+  * arithmetic is Spark's — `StrictMath.pow` and `StrictMath.log`, `/` in
+  * doubles, `pmod` as `floorMod`, double-to-long casts truncating.
+  */
+private final case class WebGraphDraw(
+    nV: Long, nEdges: Long, hostSize: Long, pIntra: Double, pNear: Double,
+    hostOffsetScale: Double, qOut: Double, qIn: Double, qIntra: Double, seed: Long) {
+  import WebGraphDraw.{Edges, Zipf}
+
+  /** The edges of slice `p` of `slices`, self-loops dropped, routed to
+    * dedup block `src mod slices`: one message `(block, (p, (src, dst,
+    * id)))` per block that gets edges. */
+  def slice(p: Int, slices: Int): Iterator[(Int, (Int, Edges))] = {
+    val nHosts = (nV + hostSize - 1) / hostSize
+    val (srcRank, hubRank, slotRank) = (new Zipf(nV, qOut), new Zipf(nV, qIn), new Zipf(hostSize, qIntra))
+    def rand(offset: Int) = new XorShift(seed + offset + p)
+    val (srcU, hubU, slotU, mixU, signU, slot2U) = (rand(0), rand(1), rand(2), rand(3), rand(5), rand(6))
+    // the plan used the offset magnitude twice inside `when`, and codegen
+    // gave each use its own rand(seed + 4) state, drawn only on its branch
+    val (negOffU, posOffU) = (rand(4), rand(4))
+    def offMag(u: XorShift) =
+      math.ceil(-StrictMath.log(u.nextDouble() + 1e-12) * hostOffsetScale).toLong
+    val src = Array.fill(slices)(new ArrayBuilder.ofLong)
+    val dst = Array.fill(slices)(new ArrayBuilder.ofLong)
+    val ids = Array.fill(slices)(new ArrayBuilder.ofLong)
+    var id = SynthData.sliceStart(nEdges, slices, p)
+    val end = SynthData.sliceStart(nEdges, slices, p + 1)
+    while (id < end) {
+      val s = srcRank(srcU.nextDouble())
+      val hub = hubRank(hubU.nextDouble())
+      val slot = slotRank(slotU.nextDouble())
+      val slot2 = slotRank(slot2U.nextDouble())
+      val hostOffset = if (signU.nextDouble() < 0.5) -offMag(negOffU) else offMag(posOffU)
+      val mix = mixU.nextDouble()
+      val d =
+        if (mix < pIntra) // intra-host: a zipf slot within the source's host block
+          math.min(nV, (s - 1) - Math.floorMod(s - 1, hostSize) + slot)
+        else if (mix < pIntra + pNear) { // neighbor host: a zipf slot within a nearby host block
+          val nearHost = math.min(nHosts - 1,
+            math.max(0L, math.floor((s - 1).toDouble / hostSize).toLong + hostOffset))
+          math.min(nV, nearHost * hostSize + slot2)
+        } else hub
+      if (s != d) {
+        val b = (s % slices).toInt
+        src(b).addOne(s); dst(b).addOne(d); ids(b).addOne(id)
+      }
+      id += 1
+    }
+    (0 until slices).iterator.map(b => (b, (p, (src(b).result(), dst(b).result(), ids(b).result()))))
+      .filter(_._2._2._1.nonEmpty)
+  }
+}
+
+private object WebGraphDraw {
+  /** Edges as `(src, dst, id)` columns. */
+  type Edges = (Array[Long], Array[Long], Array[Long])
+
+  /** Bounded-Zipf rank draw: a rank in `[1, n]` with pmf ∝ `r^(-q)`
+    * (q ≠ 1), via the inverse CDF `r = (1 + u·(n^(1−q) − 1))^(1/(1−q))`.
+    * The *degree-distribution* exponent this induces over ranks is
+    * `α = 1 + 1/q` — q≈0.9 gives the web's α≈2.1. The constants use
+    * `math.pow`, as the reference computed them on the driver.
+    */
+  final class Zipf(n: Long, q: Double) {
+    private val a = math.pow(n.toDouble, 1.0 - q) - 1.0
+    private val e = 1.0 / (1.0 - q)
+    def apply(u: Double): Long = math.min(n, math.max(1L, StrictMath.pow(u * a + 1.0, e).toLong))
+  }
+
+  /** The first copy of each `(src, dst)` among the slices' edges, which
+    * arrive in slice order and so in id order: the copy with the lowest
+    * id. Rows come out in id order. */
+  def firstCopies(slices: Array[Edges]): Iterator[Row] = {
+    val chunks = slices.filter(_ != null).toIndexedSeq
+    val src = Array.concat(chunks.map(_._1): _*)
+    val dst = Array.concat(chunks.map(_._2): _*)
+    val id = Array.concat(chunks.map(_._3): _*)
+    // src and dst lie in [1, Int.MaxValue], so the pair fits one key
+    val key = new Array[Long](src.length)
+    var e = 0
+    while (e < key.length) { key(e) = (src(e) << 32) | dst(e); e += 1 }
+    val distinct = sortedDistinct(key.clone())
+    val seen = new Array[Boolean](distinct.length)
+    val keep = new ArrayBuilder.ofInt
+    e = 0
+    while (e < key.length) {
+      val k = java.util.Arrays.binarySearch(distinct, key(e))
+      if (!seen(k)) { seen(k) = true; keep.addOne(e) }
+      e += 1
+    }
+    keep.result().iterator.map(e => Row(src(e), dst(e), id(e)))
+  }
+}
+
+/** Spark's `XORShiftRandom` (private to Spark), the generator of
+  * `rand(seed)`: partition `p` of a `rand(s)` column draws from
+  * `new XorShift(s + p)`. The seed is scrambled by MurmurHash3 as Spark's
+  * `hashSeed` does, and [[nextDouble]] is `java.util.Random`'s over it.
+  */
+private[repro] final class XorShift(init: Long) {
+  private var state = {
+    val bytes = java.nio.ByteBuffer.allocate(8).putLong(init).array()
+    val lo = MurmurHash3.bytesHash(bytes, MurmurHash3.arraySeed)
+    val hi = MurmurHash3.bytesHash(bytes, lo)
+    (hi.toLong << 32) | (lo.toLong & 0xFFFFFFFFL)
+  }
+
+  private def next(bits: Int): Long = {
+    state ^= state << 21
+    state ^= state >>> 35
+    state ^= state << 4
+    state & ((1L << bits) - 1)
+  }
+
+  /** `(next(26) << 27 + next(27)) · 2⁻⁵³`, uniform in `[0, 1)`. */
+  def nextDouble(): Double = ((next(26) << 27) + next(27)).toDouble / (1L << 53)
 }

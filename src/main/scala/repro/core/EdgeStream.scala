@@ -1,7 +1,11 @@
 package repro.core
 
-import org.apache.spark.sql.{DataFrame, Row, SparkSession}
-import org.apache.spark.sql.functions._
+import scala.collection.mutable.ArrayBuilder
+
+import org.apache.spark.sql.{DataFrame, SparkSession}
+import org.apache.spark.sql.classic.ClassicConversions.castToImpl
+import org.apache.spark.sql.functions.col
+import repro.Blocks.sortedDistinct
 
 /** A materialized edge stream: the paper's `G_S = {e_1 … e_|E|}`.
   *
@@ -70,28 +74,180 @@ object EdgeStream {
     * columns `(src, dst, id)`: edges are sorted by `(src, id)` — vertex
     * ids are crawl-order, so source-sorted arrival is the BFS order the
     * paper assumes — and vertex ids are remapped to dense 0-based ints
-    * in first-appearance order.
+    * in first-appearance order. Edges with equal `(src, id)` keep the
+    * order in which the DataFrame's partitions hold them.
+    *
+    * Each task reads its partition as primitive columns and sorts it; the
+    * driver merges the sorted runs and relabels.
+    *
+    * @throws IllegalArgumentException if a `src`, `dst` or `id` is null, or
+    *         there are more than `Int.MaxValue` edges or vertices
     */
   def fromDF(edges: DataFrame): EdgeStream = {
-    val rows = edges.select("src", "dst", "id").collect()
-    fromPairs(rows.sortBy(r => (r.getLong(0), r.getLong(2)))
-      .map(r => (r.getLong(0), r.getLong(1))).toIndexedSeq)
+    val rows = castToImpl(edges.select(Columns.map(col(_).cast("long")): _*)).queryExecution.toRdd
+    val runs = rows.mapPartitions { it =>
+      val src = new ArrayBuilder.ofLong
+      val dst = new ArrayBuilder.ofLong
+      val id = new ArrayBuilder.ofLong
+      var nullColumn = -1
+      it.foreach { r =>
+        if (nullColumn < 0 && r.anyNull) nullColumn = Columns.indices.indexWhere(r.isNullAt)
+        src.addOne(r.getLong(0)); dst.addOne(r.getLong(1)); id.addOne(r.getLong(2))
+      }
+      val (s, d, i) = (src.result(), dst.result(), id.result())
+      val order = stableOrder(s, i)
+      Iterator(new SortedRun(permute(s, order), permute(d, order), permute(i, order), nullColumn))
+    }.collect()
+    runs.find(_.nullColumn >= 0).foreach(r =>
+      throw new IllegalArgumentException(s"edge column ${Columns(r.nullColumn)} holds a null"))
+    val (src, dst) = merge(runs)
+    relabel(src, dst)
   }
 
   /** Build a stream from (src, dst) pairs already in stream order,
     * remapping arbitrary long ids to dense 0-based ints by first
     * appearance. */
   def fromPairs(pairs: Seq[(Long, Long)]): EdgeStream = {
-    val idOf = new java.util.HashMap[Long, Int]()
-    def map(v: Long): Int = {
-      var id = idOf.getOrDefault(v, -1)
-      if (id < 0) { id = idOf.size(); idOf.put(v, id) }
-      id
-    }
     val n = pairs.length
-    val s = new Array[Int](n); val d = new Array[Int](n)
+    val src = new Array[Long](n); val dst = new Array[Long](n)
     var i = 0
-    pairs.foreach { case (u, v) => s(i) = map(u); d(i) = map(v); i += 1 }
-    new EdgeStream(s, d, idOf.size())
+    pairs.foreach { case (u, v) => src(i) = u; dst(i) = v; i += 1 }
+    relabel(src, dst)
+  }
+
+  private val Columns = Seq("src", "dst", "id")
+
+  /** One partition's edges sorted by `(src, id)`, ties in partition order;
+    * `nullColumn` is the first column seen null, or -1. */
+  private final class SortedRun(val src: Array[Long], val dst: Array[Long], val id: Array[Long],
+                                val nullColumn: Int) extends Serializable {
+    def size: Int = src.length
+  }
+
+  private def permute(a: Array[Long], order: Array[Int]): Array[Long] = {
+    val out = new Array[Long](order.length)
+    var i = 0
+    while (i < order.length) { out(i) = a(order(i)); i += 1 }
+    out
+  }
+
+  /** Positions `0 until src.length` sorted by `(src, id)`, ties in position
+    * order: a counting sort over the dense rank of each `(src, id)` pair. */
+  private def stableOrder(src: Array[Long], id: Array[Long]): Array[Int] = {
+    val srcRank = ranks(src)
+    val idRank = ranks(id)
+    val key = new Array[Long](src.length)
+    var e = 0
+    while (e < key.length) { key(e) = (srcRank(e).toLong << 32) | idRank(e); e += 1 }
+    val keyRank = ranks(key)
+    val start = new Array[Int](key.length + 1)
+    e = 0
+    while (e < key.length) { start(keyRank(e) + 1) += 1; e += 1 }
+    var r = 1
+    while (r < start.length) { start(r) += start(r - 1); r += 1 }
+    val order = new Array[Int](key.length)
+    e = 0
+    while (e < key.length) { order(start(keyRank(e))) = e; start(keyRank(e)) += 1; e += 1 }
+    order
+  }
+
+  /** The rank of each value of `a` among its distinct values. */
+  private def ranks(a: Array[Long]): Array[Int] = {
+    val distinct = sortedDistinct(a.clone())
+    val out = new Array[Int](a.length)
+    var e = 0
+    while (e < a.length) { out(e) = java.util.Arrays.binarySearch(distinct, a(e)); e += 1 }
+    out
+  }
+
+  /** Merges the runs k ways by `(src, id)`, ties in run order; returns the
+    * merged `(src, dst)` columns. */
+  private def merge(runs: Array[SortedRun]): (Array[Long], Array[Long]) = {
+    val n = intCount("edges", runs.map(_.size.toLong).sum)
+    val src = new Array[Long](n); val dst = new Array[Long](n)
+    val pos = new Array[Int](runs.length)
+    def before(a: Int, b: Int): Boolean = {
+      val sa = runs(a).src(pos(a))
+      val sb = runs(b).src(pos(b))
+      if (sa != sb) sa < sb
+      else {
+        val ia = runs(a).id(pos(a))
+        val ib = runs(b).id(pos(b))
+        if (ia != ib) ia < ib else a < b
+      }
+    }
+    // binary min-heap of the runs not yet drained, by their head edge
+    val heap = runs.indices.filter(runs(_).size > 0).toArray
+    var size = heap.length
+    def siftDown(from: Int): Unit = {
+      var i = from
+      var done = false
+      while (!done) {
+        var m = i
+        val l = 2 * i + 1
+        if (l < size && before(heap(l), heap(m))) m = l
+        if (l + 1 < size && before(heap(l + 1), heap(m))) m = l + 1
+        if (m == i) done = true
+        else { val t = heap(i); heap(i) = heap(m); heap(m) = t; i = m }
+      }
+    }
+    for (i <- size / 2 - 1 to 0 by -1) siftDown(i)
+    var e = 0
+    while (size > 0) {
+      val r = heap(0)
+      src(e) = runs(r).src(pos(r)); dst(e) = runs(r).dst(pos(r))
+      e += 1
+      pos(r) += 1
+      if (pos(r) == runs(r).size) { size -= 1; heap(0) = heap(size) }
+      siftDown(0)
+    }
+    (src, dst)
+  }
+
+  /** Dense 0-based ids by first appearance along the stream, the source of
+    * an edge before its destination. */
+  private def relabel(src: Array[Long], dst: Array[Long]): EdgeStream = {
+    val vertices = union(sortedDistinct(src.clone()), sortedDistinct(dst.clone()))
+    val label = Array.fill(vertices.length)(-1)
+    var next = 0
+    def map(v: Long): Int = {
+      val i = java.util.Arrays.binarySearch(vertices, v)
+      if (label(i) < 0) { label(i) = next; next += 1 }
+      label(i)
+    }
+    val s = new Array[Int](src.length); val d = new Array[Int](src.length)
+    var e = 0
+    while (e < src.length) { s(e) = map(src(e)); d(e) = map(dst(e)); e += 1 }
+    new EdgeStream(s, d, next)
+  }
+
+  /** The sorted union of two sorted distinct arrays. */
+  private def union(a: Array[Long], b: Array[Long]): Array[Long] = {
+    // one walk counts, a second one fills
+    def walk(out: Array[Long]): Long = {
+      var i = 0
+      var j = 0
+      var n = 0L
+      while (i < a.length || j < b.length) {
+        val v = if (j == b.length || (i < a.length && a(i) <= b(j))) a(i) else b(j)
+        if (i < a.length && a(i) == v) i += 1
+        if (j < b.length && b(j) == v) j += 1
+        if (out != null) out(n.toInt) = v
+        n += 1
+      }
+      n
+    }
+    val out = new Array[Long](intCount("vertices", walk(null)))
+    walk(out)
+    out
+  }
+
+  /** `n` as an array length.
+    *
+    * @throws IllegalArgumentException if `n > Int.MaxValue`
+    */
+  private[core] def intCount(what: String, n: Long): Int = {
+    require(n <= Int.MaxValue, s"$n $what exceed Int.MaxValue")
+    n.toInt
   }
 }

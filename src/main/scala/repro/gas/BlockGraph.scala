@@ -8,6 +8,7 @@ import org.apache.spark.rdd.RDD
 import org.apache.spark.sql.{DataFrame, SparkSession}
 import org.apache.spark.sql.classic.ClassicConversions.castToImpl
 import org.apache.spark.sql.functions.col
+import repro.Blocks.{bySender, sortedDistinct}
 
 /** The edges of the GAS partitions `part ≡ id (mod P)`, in primitive arrays.
   *
@@ -107,18 +108,6 @@ private[gas] object EdgeBlock {
     new EdgeBlock(id, vids, src, rep, reps.flatMap(_.map(_.toInt)), groupStart, repStart, minPart)
   }
 
-  /** Sorts `a` in place; returns its distinct values. */
-  def sortedDistinct(a: Array[Long]): Array[Long] = {
-    java.util.Arrays.sort(a)
-    var n = 0
-    var i = 0
-    while (i < a.length) {
-      if (n == 0 || a(i) != a(n - 1)) { a(n) = a(i); n += 1 }
-      i += 1
-    }
-    java.util.Arrays.copyOf(a, n)
-  }
-
   /** The master block of vertex `v`. */
   def masterOf(v: Long, p: Int): Int = java.lang.Math.floorMod(v, p.toLong).toInt
 }
@@ -160,8 +149,8 @@ private[gas] object MasterBlock {
   }
 
   def build(id: Int, p: Int, msgs: Iterator[(Int, (Int, Announce))]): MasterBlock = {
-    val from = BlockGraph.bySender[Announce](p, msgs)
-    val ids = EdgeBlock.sortedDistinct(Array.concat(
+    val from = bySender[Announce](p, msgs)
+    val ids = sortedDistinct(Array.concat(
       from.filter(_ != null).flatMap(a => Seq(a._1, a._3)).toIndexedSeq: _*))
     def positions(vs: Array[Long]) = vs.map(java.util.Arrays.binarySearch(ids, _))
     val outDeg = new Array[Int](ids.length)
@@ -190,7 +179,7 @@ private[gas] final class BlockGraph private (
     edges: RDD[EdgeBlock],
     val masters: RDD[MasterBlock],
     val numVertices: Long) {
-  import BlockGraph.{bySender, only}
+  import BlockGraph.only
 
   private val partitioner = new HashPartitioner(p)
   private val cached = ArrayBuffer[RDD[_]](edges, masters)
@@ -294,13 +283,5 @@ private[gas] object BlockGraph {
     val a = it.next()
     assert(!it.hasNext, "a partition holds one block")
     a
-  }
-
-  /** Messages `(to, (from, payload))` placed by sender block id, so every
-    * fold over them runs in sender order, whatever the fetch order. */
-  def bySender[M <: AnyRef : ClassTag](p: Int, msgs: Iterator[(Int, (Int, M))]): Array[M] = {
-    val out = new Array[M](p)
-    msgs.foreach { case (_, (from, m)) => out(from) = m }
-    out
   }
 }

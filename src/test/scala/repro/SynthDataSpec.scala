@@ -13,6 +13,82 @@ class SynthDataSpec extends SparkSpec {
     assert(a.toSeq == b.toSeq)
   }
 
+  /** Runs `body` with `spark.range` split into `slices` partitions by
+    * default, then restores the setting. */
+  private def withLeafParallelism[A](slices: Int)(body: => A): A = {
+    val key = "spark.sql.leafNodeDefaultParallelism"
+    val before = spark.conf.getOption(key)
+    spark.conf.set(key, slices.toLong)
+    try body
+    finally before.fold(spark.conf.unset(key))(spark.conf.set(key, _))
+  }
+
+  private def sortedRows(df: org.apache.spark.sql.DataFrame): Seq[(Long, Long, Long)] =
+    df.select("src", "dst", "id").collect().map(r => (r.getLong(0), r.getLong(1), r.getLong(2)))
+      .sortBy(_._3).toSeq
+
+  test("webGraph returns the rows of the Catalyst reference at 16 partitions") {
+    withLeafParallelism(16) {
+      for (spec <- Seq(WebGraphs.Tiny, WebGraphs.TinySocial, WebGraphs.UKLite)) {
+        val got = sortedRows(spec.df(spark))
+        val want = sortedRows(CatalystWebGraph.of(spark, spec))
+        assert(got.length == want.length, s"${spec.name} edge count")
+        assert(got == want, s"${spec.name} rows")
+      }
+    }
+  }
+
+  test("XorShift replays rand(seed) of spark.range value for value") {
+    val n = 1001L
+    for (seed <- Seq(7L, 114L); slices <- Seq(3, 16)) {
+      val want = spark.range(0, n, 1, slices).select(rand(seed)).collect().map(_.getDouble(0))
+      val got = (0 until slices).flatMap { p =>
+        val u = new XorShift(seed + p)
+        (SynthData.sliceStart(n, slices, p) until SynthData.sliceStart(n, slices, p + 1))
+          .map(_ => u.nextDouble())
+      }
+      assert(got == want.toSeq, s"seed $seed, $slices slices")
+    }
+  }
+
+  test("webGraph does not depend on leafNodeDefaultParallelism") {
+    val hashes = Seq(1, 4, 16).map(slices =>
+      withLeafParallelism(slices)(TestGraphs.streamHash(EdgeStream.fromDF(WebGraphs.Tiny.df(spark)))))
+    assert(hashes.distinct.length == 1, hashes.map(h => f"$h%016x").mkString(", "))
+  }
+
+  private def rejects(argument: String)(call: => Any): Unit = {
+    val e = intercept[IllegalArgumentException](call)
+    assert(e.getMessage.contains(argument), e.getMessage)
+  }
+
+  test("webGraph rejects nVertices outside [1, Int.MaxValue]") {
+    rejects("nVertices")(SynthData.webGraph(spark, 0, 10))
+    rejects("nVertices")(SynthData.webGraph(spark, Int.MaxValue + 1L, 10))
+  }
+
+  test("webGraph rejects a negative nEdges") {
+    rejects("nEdges")(SynthData.webGraph(spark, 10, -1))
+  }
+
+  test("webGraph rejects hostSize < 1") {
+    rejects("hostSize")(SynthData.webGraph(spark, 10, 10, hostSize = 0))
+  }
+
+  test("webGraph rejects pIntra, pNear or their sum outside [0, 1]") {
+    rejects("pIntra")(SynthData.webGraph(spark, 10, 10, pIntra = -0.1, pNear = 0))
+    rejects("pIntra")(SynthData.webGraph(spark, 10, 10, pIntra = 1.1, pNear = 0))
+    rejects("pNear")(SynthData.webGraph(spark, 10, 10, pIntra = 0, pNear = -0.1))
+    rejects("pNear")(SynthData.webGraph(spark, 10, 10, pIntra = 0, pNear = 1.1))
+    rejects("pIntra + pNear")(SynthData.webGraph(spark, 10, 10, pIntra = 0.6, pNear = 0.5))
+  }
+
+  test("webGraph rejects a Zipf exponent q of 1") {
+    rejects("qOut")(SynthData.webGraph(spark, 10, 10, qOut = 1.0))
+    rejects("qIn")(SynthData.webGraph(spark, 10, 10, qIn = 1.0))
+    rejects("qIntra")(SynthData.webGraph(spark, 10, 10, qIntra = 1.0))
+  }
+
   test("webGraph has no self-loops") {
     assert(tinyDf.where(col("src") === col("dst")).count() == 0)
   }

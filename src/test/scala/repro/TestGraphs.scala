@@ -22,6 +22,25 @@ object TestGraphs {
     socialCache
   }
 
+  /** Order-sensitive 64-bit hash of a stream's `(src, dst)` columns
+    * (splitmix64 finalizer per element, chained), the dataset fingerprint
+    * the benchmark records. */
+  def streamHash(s: EdgeStream): Long = {
+    var h = 0x9E3779B97F4A7C15L
+    Seq(s.src, s.dst).foreach { a =>
+      var i = 0
+      while (i < a.length) {
+        var z = h ^ (a(i).toLong + 0x9E3779B97F4A7C15L)
+        z = (z ^ (z >>> 30)) * 0xBF58476D1CE4E5B9L
+        z = (z ^ (z >>> 27)) * 0x94D049BB133111EBL
+        h = (z ^ (z >>> 31)) + i
+        i += 1
+      }
+      h = h * 31 + a.length
+    }
+    h
+  }
+
   /** A tiny deterministic hand-stream for exact-value tests. */
   def handStream: EdgeStream = EdgeStream.fromPairs(Seq(
     (1L, 2L), (1L, 3L), (2L, 3L), (4L, 5L), (4L, 6L), (5L, 6L), (3L, 4L), (6L, 1L)

@@ -59,6 +59,33 @@ class EdgeStreamSpec extends SparkSpec {
     assert(s.dst.toSeq == Seq(1, 2, 2, 0))
   }
 
+  test("fromDF rejects a null src, dst or id") {
+    import spark.implicits._
+    for ((column, c) <- Seq("src", "dst", "id").zipWithIndex) {
+      val row = Array[Option[Long]](Some(1L), Some(2L), Some(1L))
+      row(c) = None
+      val df = Seq((Option(1L), Option(3L), Option(0L)), (row(0), row(1), row(2)))
+        .toDF("src", "dst", "id")
+      val e = intercept[IllegalArgumentException](EdgeStream.fromDF(df))
+      assert(e.getMessage.contains(column), e.getMessage)
+    }
+  }
+
+  test("fromDF of an empty DataFrame is an empty stream") {
+    import spark.implicits._
+    for (df <- Seq(Seq.empty[(Long, Long, Long)].toDF("src", "dst", "id"),
+                   repro.SynthData.webGraph(spark, 10, 0))) {
+      val s = EdgeStream.fromDF(df)
+      assert(s.numEdges == 0 && s.numVertices == 0)
+    }
+  }
+
+  test("edge and vertex counts past Int.MaxValue are rejected") {
+    assert(EdgeStream.intCount("vertices", Int.MaxValue) == Int.MaxValue)
+    val e = intercept[IllegalArgumentException](EdgeStream.intCount("vertices", Int.MaxValue + 1L))
+    assert(e.getMessage.contains("vertices"), e.getMessage)
+  }
+
   test("toDF roundtrips the stream") {
     val s = TestGraphs.handStream
     val df = s.toDF(spark)
