@@ -10,6 +10,16 @@ import repro.core._
   */
 class F10ParallelizationBench extends SparkSpec {
 
+  private val nproc = Runtime.getRuntime.availableProcessors
+
+  /** Clusters the game plays on it-lite at k=64: the ids with intra or cut
+    * edges, of all the ids pass 1 allocates. */
+  private lazy val players: String = {
+    val s = BenchData.stream(spark, "it-lite")
+    val cg = ClusterGraph.build(s, StreamingClustering.cluster(s, s.numEdges.toLong / 64))
+    s"${(0 until cg.numClusters).count(cg.isPlayer)}/${cg.numClusters}"
+  }
+
   private def gameTime(threads: Int, batch: Int): (Long, Double) = {
     val s = BenchData.stream(spark, "it-lite")
     val k = 64
@@ -22,10 +32,10 @@ class F10ParallelizationBench extends SparkSpec {
     val batch = 6400
     val rows = for (t <- Seq(1, 2, 4, 8, 16)) yield {
       val (ms, rf) = gameTime(t, batch)
-      Seq(t.toString, ms.toString, f"$rf%.3f")
+      Seq(t.toString, ms.toString, f"$rf%.3f", players, nproc.toString)
     }
     BenchData.emit("F10a game time vs threads (it-lite, k=64, batch=6400)",
-      Seq("threads", "game_ms", "rf"), rows)
+      Seq("threads", "game_ms", "rf", "players", "nproc"), rows)
     val t = rows.map(r => r(0).toInt -> r(1).toLong).toMap
     // more threads should not be slower overall (paper: good speedup);
     // allow generous noise at millisecond scales
@@ -37,10 +47,10 @@ class F10ParallelizationBench extends SparkSpec {
   test("Fig 10b: game time vs batch size") {
     val rows = for (b <- Seq(800, 3200, 6400, 25600)) yield {
       val (ms, rf) = gameTime(8, b)
-      Seq(b.toString, ms.toString, f"$rf%.3f")
+      Seq(b.toString, ms.toString, f"$rf%.3f", players, nproc.toString)
     }
     BenchData.emit("F10b game time vs batch size (it-lite, k=64, 8 threads)",
-      Seq("batch", "game_ms", "rf"), rows)
+      Seq("batch", "game_ms", "rf", "players", "nproc"), rows)
     // runtime stays within a small factor across a 32× batch range
     val times = rows.map(_(1).toLong)
     assert(times.max <= math.max(200, times.min * 6),

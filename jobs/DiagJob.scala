@@ -59,7 +59,8 @@ object DiagJob {
         def rfScrubbed: Double = {
           val cl0 = StreamingClustering.cluster(stream, stream.numEdges.toLong / kk, splitting = true)
           val cl = cl0.copy(divided = new Array[Boolean](stream.numVertices),
-                            mirrorClusters = Map.empty)
+                            mirrorStart = new Array[Int](stream.numVertices + 1),
+                            mirrorIds = Array.emptyIntArray)
           val cg0 = ClusterGraph.build(stream, cl)
           val placed = ClusterPartitioning.parallelGame(cg0, kk, cg0.lambdaMax(kk))
           val part = PartitionTransformation.transform(stream, cl, placed.assignment, kk, 1.0)

@@ -57,6 +57,7 @@ final class Clugp(cfg: ClugpConfig = ClugpConfig()) extends StreamingPartitioner
   @volatile var lastStats: ClugpStats = ClugpStats(0, 0, 0, 0, 0, 0)
 
   override def partition(stream: EdgeStream, k: Int): PartitionAssignment = {
+    require(k >= 1, s"number of partitions must be >= 1, got $k")
     val t0 = System.nanoTime()
     val vMax = math.max(2L, (cfg.vMaxFactor * stream.numEdges / k).toLong)
     // pass 1: streaming clustering

@@ -27,6 +27,11 @@ final case class ClusterGraph(
 
   def numClusters: Int = sizes.length
 
+  /** Whether cluster `c` plays the partitioning game: it has intra or cut
+    * edges. Any other id (emptied by migration or splitting) costs 0 on
+    * every partition, so best response never moves it. */
+  def isPlayer(c: Int): Boolean = sizes(c) > 0 || cutDegree(c) > 0
+
   /** The paper's maximum normalization factor λ_max (Theorem 5):
     * `k² Σ|e(c_i,V∖c_i)| / (Σ|c_i|)²`. Experiments set λ to this value.
     */

@@ -44,38 +44,41 @@ object ClusterPartitioning {
   /** Play the game over the whole cluster graph in one batch. */
   def game(cg: ClusterGraph, k: Int, lambda: Double, seed: Long = 17,
            maxRounds: Int = MaxRounds,
-           init: InitStrategy = RangeInit): ClusterPartitioningResult =
-    gameOn(cg, (0 until cg.numClusters).toArray, k, lambda, seed, maxRounds, init)
+           init: InitStrategy = RangeInit): ClusterPartitioningResult = {
+    require(k >= 1, s"number of partitions must be >= 1, got $k")
+    val out = new Array[Int](cg.numClusters)
+    gameOn(cg, 0, cg.numClusters, k, lambda, seed, maxRounds, init, out)
+  }
 
-  /** Paper §V-D parallel mode: consecutive-id batches of `batchSize`
-    * clusters, each batch an independent game run on `threads` threads.
+  /** Paper §V-D parallel mode: consecutive raw-id ranges of `batchSize`
+    * cluster ids, each an independent game run on `threads` threads.
     * Each batch balances its own clusters over the same k logical
-    * partitions using only intra-batch structure — the space/state per
-    * thread is O(batchSize), matching the paper's accounting.
+    * partitions using only intra-batch structure, and keeps O(batchSize + k)
+    * state (its slice of the result, its players, k loads and k cut
+    * weights), matching the paper's per-thread accounting. Only clusters
+    * with intra or cut edges play (see [[ClusterGraph.isPlayer]]).
     */
   def parallelGame(cg: ClusterGraph, k: Int, lambda: Double,
                    batchSize: Int = 6400, threads: Int = 8, seed: Long = 17,
                    maxRounds: Int = MaxRounds,
                    init: InitStrategy = RangeInit): ClusterPartitioningResult = {
+    require(k >= 1, s"number of partitions must be >= 1, got $k")
     val m = cg.numClusters
     if (m == 0) return ClusterPartitioningResult(Array.emptyIntArray, 0, 0)
-    val batches = (0 until m).grouped(math.max(1, batchSize)).map(_.toArray).toArray
-    val pool    = Executors.newFixedThreadPool(math.max(1, threads))
+    val b = math.max(1, batchSize).toLong
+    val numBatches = ((m + b - 1) / b).toInt
+    val out  = new Array[Int](m)
+    val pool = Executors.newFixedThreadPool(math.max(1, threads))
     try {
-      val futures = batches.zipWithIndex.map { case (ids, bi) =>
+      val futures = Array.tabulate(numBatches) { bi =>
+        val lo = (bi * b).toInt; val hi = math.min(m.toLong, lo + b).toInt
         pool.submit(new Callable[ClusterPartitioningResult] {
           def call(): ClusterPartitioningResult =
-            gameOn(cg, ids, k, lambda, seed + bi, maxRounds, init)
+            gameOn(cg, lo, hi, k, lambda, seed + bi, maxRounds, init, out)
         })
       }
-      val out = new Array[Int](m)
       var rounds = 0L; var moves = 0L
-      futures.zip(batches).foreach { case (f, ids) =>
-        val r = f.get()
-        var i = 0
-        while (i < ids.length) { out(ids(i)) = r.assignment(ids(i)); i += 1 }
-        rounds += r.rounds; moves += r.moves
-      }
+      futures.foreach { f => val r = f.get(); rounds += r.rounds; moves += r.moves }
       ClusterPartitioningResult(out, rounds, moves)
     } finally { pool.shutdown(); pool.awaitTermination(1, TimeUnit.MINUTES) }
   }
@@ -83,6 +86,7 @@ object ClusterPartitioning {
   /** The CLUGP-G ablation (Fig. 9): skip the game; greedily place each
     * cluster, largest first, on the currently smallest partition. */
   def greedy(cg: ClusterGraph, k: Int): ClusterPartitioningResult = {
+    require(k >= 1, s"number of partitions must be >= 1, got $k")
     val m = cg.numClusters
     val out = new Array[Int](m)
     val load = new Array[Long](k)
@@ -94,31 +98,48 @@ object ClusterPartitioning {
     ClusterPartitioningResult(out, 0, 0)
   }
 
-  /** Best-response dynamics restricted to the cluster ids in `ids`;
+  /** Best-response dynamics restricted to the cluster ids `[lo, hi)`;
     * clusters outside the batch are invisible (their load and cut edges
-    * are not counted), so batches need no shared mutable state. */
-  private def gameOn(cg: ClusterGraph, ids: Array[Int], k: Int, lambda: Double,
-                     seed: Long, maxRounds: Int,
-                     init: InitStrategy): ClusterPartitioningResult = {
-    val m = cg.numClusters
-    val part = Array.fill(m)(-1)
-    val inBatch = new Array[Boolean](m)
-    ids.foreach(inBatch(_) = true)
+    * are not counted), so batches need no shared mutable state. The
+    * batch's strategies live in `part(lo until hi)`, which no other batch
+    * touches; the result carries `part` with this batch's rounds and moves.
+    */
+  private def gameOn(cg: ClusterGraph, lo: Int, hi: Int, k: Int, lambda: Double,
+                     seed: Long, maxRounds: Int, init: InitStrategy,
+                     part: Array[Int]): ClusterPartitioningResult = {
+    val sizes = cg.sizes
 
-    // initial strategies (deterministic)
+    // initial strategies (deterministic), for every id of the range
     val load = new Array[Long](k)
     init match {
       case RandomInit =>
         val rnd = new scala.util.Random(seed)
-        ids.foreach { c => val p = rnd.nextInt(k); part(c) = p; load(p) += cg.sizes(c) }
+        var c = lo
+        while (c < hi) { val p = rnd.nextInt(k); part(c) = p; load(p) += sizes(c); c += 1 }
       case RangeInit =>
         // contiguous id ranges with ≈ equal cluster volume per partition
-        val total = math.max(1L, ids.map(cg.sizes).sum)
+        var total = 0L
+        var c = lo
+        while (c < hi) { total += sizes(c); c += 1 }
+        total = math.max(1L, total)
         var cum = 0L
-        ids.foreach { c =>
+        c = lo
+        while (c < hi) {
           val p = math.min(k - 1, (cum * k / total).toInt)
-          part(c) = p; load(p) += cg.sizes(c); cum += cg.sizes(c)
+          part(c) = p; load(p) += sizes(c); cum += sizes(c)
+          c += 1
         }
+    }
+
+    // Only players best-respond. Any other id has no intra and no cut
+    // edges, so it costs 0 on every partition and the strict-improvement
+    // rule below can never move it; it adds no load and is nobody's
+    // neighbour, so skipping it leaves every round and move unchanged.
+    val players = {
+      val ps = new Array[Int](hi - lo)
+      var n = 0; var c = lo
+      while (c < hi) { if (cg.isPlayer(c)) { ps(n) = c; n += 1 }; c += 1 }
+      java.util.Arrays.copyOf(ps, n)
     }
 
     val wToPart = new Array[Long](k) // cut edges from c to clusters currently in p
@@ -128,25 +149,25 @@ object ClusterPartitioning {
       changed = false
       rounds += 1
       var idx = 0
-      while (idx < ids.length) {
-        val c = ids(idx)
+      while (idx < players.length) {
+        val c = players(idx)
         // bucket neighbor weights by the neighbors' current partition
         java.util.Arrays.fill(wToPart, 0L)
         val nIds = cg.neighborIds(c); val nW = cg.neighborWeights(c)
         var j = 0
         while (j < nIds.length) {
           val nb = nIds(j)
-          if (inBatch(nb)) wToPart(part(nb)) += nW(j)
+          if (lo <= nb && nb < hi) wToPart(part(nb)) += nW(j)
           j += 1
         }
         val cur = part(c)
-        load(cur) -= cg.sizes(c) // evaluate all k choices with c removed
+        load(cur) -= sizes(c) // evaluate all k choices with c removed
         var best = 0; var bestCost = Double.MaxValue; var curCost = Double.MaxValue
         var p = 0
         while (p < k) {
           // |a_i| includes c_i itself; cut cost = ½·(incident cut edges
           // to clusters outside p) with both directions pre-summed in w
-          val cost = lambda / k * cg.sizes(c) * (load(p) + cg.sizes(c)) +
+          val cost = lambda / k * sizes(c) * (load(p) + sizes(c)) +
             0.5 * (cg.cutDegree(c) - wToPart(p))
           if (cost < bestCost) { best = p; bestCost = cost }
           if (p == cur) curCost = cost
@@ -155,7 +176,7 @@ object ClusterPartitioning {
         // move only on a strict improvement so the dynamics terminate
         // (exact potential game: each move lowers Φ by the same amount)
         val next = if (bestCost < curCost - 1e-9) best else cur
-        load(next) += cg.sizes(c)
+        load(next) += sizes(c)
         if (next != cur) { part(c) = next; moves += 1; changed = true }
         idx += 1
       }

@@ -26,6 +26,7 @@ object PartitionTransformation {
     */
   def transform(stream: EdgeStream, clustering: ClusteringResult,
                 clusterPart: Array[Int], k: Int, tau: Double): Array[Int] = {
+    require(k >= 1, s"number of partitions must be >= 1, got $k")
     val nE = stream.numEdges
     require(tau >= 1.0, s"imbalance factor must be >= 1, got $tau")
     // ceil so k·L_max ≥ |E| — a below-threshold partition always exists
@@ -35,19 +36,13 @@ object PartitionTransformation {
     val clu = clustering.clu; val deg = clustering.deg; val divided = clustering.divided
     var spill = 0 // rotates so overflow spills spread over partitions
 
-    // partitions holding a mirror of each divided vertex (Algorithm 1
+    // whether divided vertex x has a mirror on partition p (Algorithm 1
     // line 19: an edge can ride an existing mirror instead of minting a
-    // new replica); O(#splits) ints, built by joining pass-1 mirrors
-    // with the pass-2 cluster placement
-    val mirrorParts: Map[Int, Array[Int]] =
-      clustering.mirrorClusters.map { case (v, cs) =>
-        (v, cs.map(clusterPart).distinct.toArray)
-      }
-    val noParts = Array.emptyIntArray
+    // new replica): some mirror cluster of x is placed on p by pass 2
+    val mirrorStart = clustering.mirrorStart; val mirrorIds = clustering.mirrorIds
     @inline def hasMirrorAt(x: Int, p: Int): Boolean = {
-      val ps = mirrorParts.getOrElse(x, noParts)
-      var j = 0
-      while (j < ps.length) { if (ps(j) == p) return true; j += 1 }
+      var j = mirrorStart(x); val end = mirrorStart(x + 1)
+      while (j < end) { if (clusterPart(mirrorIds(j)) == p) return true; j += 1 }
       false
     }
 

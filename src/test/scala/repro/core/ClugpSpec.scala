@@ -117,4 +117,15 @@ class ClugpSpec extends SparkSpec {
       assert(q.replicationFactor >= 1.0)
     }
   }
+
+  test("k < 1 fails clearly, for every game mode") {
+    val s = TestGraphs.handStream
+    for (k <- Seq(0, -3);
+         mode <- Seq(SequentialGame, ParallelGame(64, 2), GreedyPlacement)) {
+      val e = intercept[IllegalArgumentException] {
+        Clugp.run(s, k, ClugpConfig(gameMode = mode))
+      }
+      assert(e.getMessage.contains(s"got $k"), e.getMessage)
+    }
+  }
 }

@@ -1,6 +1,7 @@
 package repro.core
 
 import repro.{SparkSpec, TestGraphs}
+import repro.core.ReferencePasses.clusteringResult
 
 class ClusterGraphSpec extends SparkSpec {
 
@@ -46,7 +47,7 @@ class ClusterGraphSpec extends SparkSpec {
     // last — the smaller cluster's endpoint migrates, merging everything.
     // Use the cluster map directly instead: craft clustering by running
     // with vMax tiny enough to prevent the final merge.
-    val cl = ClusteringResult(
+    val cl = clusteringResult(
       clu = Array(0, 0, 1, 1),
       deg = Array(2, 3, 2, 1),
       divided = Array(false, false, false, false),
@@ -60,7 +61,7 @@ class ClusterGraphSpec extends SparkSpec {
   }
 
   test("lambdaMax follows Theorem 5's formula") {
-    val cl = ClusteringResult(Array(0, 1), Array(1, 1), Array(false, false),
+    val cl = clusteringResult(Array(0, 1), Array(1, 1), Array(false, false),
       Map.empty, 2, Array(2L, 2L))
     val s = EdgeStream.fromPairs(Seq((1L, 2L)))
     val cg = ClusterGraph.build(s, cl)
@@ -71,7 +72,7 @@ class ClusterGraphSpec extends SparkSpec {
 
   test("singleton clusters with no neighbors have empty adjacency") {
     val s = EdgeStream.fromPairs(Seq((1L, 2L)))
-    val cl = ClusteringResult(Array(0, 0), Array(1, 1), Array(false, false),
+    val cl = clusteringResult(Array(0, 0), Array(1, 1), Array(false, false),
       Map.empty, 1, Array(2L))
     val cg = ClusterGraph.build(s, cl)
     assert(cg.neighborIds(0).isEmpty && cg.cutDegree(0) == 0)

@@ -125,4 +125,18 @@ class ClusterPartitioningSpec extends SparkSpec {
     val r = ClusterPartitioning.game(cg, 1, 1.0)
     assert(r.assignment.forall(_ == 0))
   }
+
+  test("k < 1 fails clearly in every pass-2 entry point") {
+    val cg = clusterGraph(8)
+    for (k <- Seq(0, -3)) {
+      val calls: Seq[() => ClusterPartitioningResult] = Seq(
+        () => ClusterPartitioning.game(cg, k, 1.0),
+        () => ClusterPartitioning.parallelGame(cg, k, 1.0, 64, 2),
+        () => ClusterPartitioning.greedy(cg, k))
+      calls.foreach { call =>
+        val e = intercept[IllegalArgumentException](call())
+        assert(e.getMessage.contains(s"got $k"), e.getMessage)
+      }
+    }
+  }
 }

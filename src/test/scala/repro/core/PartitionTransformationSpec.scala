@@ -1,6 +1,7 @@
 package repro.core
 
 import repro.{SparkSpec, TestGraphs}
+import repro.core.ReferencePasses.clusteringResult
 
 class PartitionTransformationSpec extends SparkSpec {
 
@@ -51,7 +52,7 @@ class PartitionTransformationSpec extends SparkSpec {
   test("same-partition endpoints keep the edge there (no spurious cut)") {
     // both vertices in one cluster mapped to partition 1, tau loose
     val s = EdgeStream.fromPairs(Seq((1L, 2L), (1L, 2L), (2L, 1L)))
-    val cl = ClusteringResult(Array(0, 0), Array(3, 3), Array(false, false),
+    val cl = clusteringResult(Array(0, 0), Array(3, 3), Array(false, false),
       Map.empty, 1, Array(6L))
     val part = PartitionTransformation.transform(s, cl, Array(1), 4, 4.0)
     assert(part.toSeq == Seq(1, 1, 1))
@@ -61,7 +62,7 @@ class PartitionTransformationSpec extends SparkSpec {
     // u (deg 3) vs v (deg 1): edge goes to u's... no — to the partition of
     // the LOWER degree vertex's side: deg[v] < deg[u] -> assign to p_v
     val s = EdgeStream.fromPairs(Seq((1L, 2L)))
-    val cl = ClusteringResult(Array(0, 1), Array(5, 1), Array(false, false),
+    val cl = clusteringResult(Array(0, 1), Array(5, 1), Array(false, false),
       Map.empty, 2, Array(5L, 1L))
     val part = PartitionTransformation.transform(s, cl, Array(0, 1), 4, 4.0)
     // deg(u)=5 > deg(v)=1 -> cut u -> edge lives at p_v = 1
@@ -72,7 +73,7 @@ class PartitionTransformationSpec extends SparkSpec {
     // u divided with a mirror in cluster 1 (partition 1); v master in
     // cluster 1. The edge should go to partition 1 (u already there).
     val s = EdgeStream.fromPairs(Seq((1L, 2L)))
-    val cl = ClusteringResult(Array(0, 1), Array(1, 9), Array(true, false),
+    val cl = clusteringResult(Array(0, 1), Array(1, 9), Array(true, false),
       Map(0 -> Seq(1)), 2, Array(1L, 9L))
     val part = PartitionTransformation.transform(s, cl, Array(0, 1), 4, 4.0)
     assert(part(0) == 1)
@@ -81,7 +82,7 @@ class PartitionTransformationSpec extends SparkSpec {
   test("divided endpoint is cut in preference to an undivided one") {
     // u divided (mirror in an unrelated partition), v not: cut u -> p_v
     val s = EdgeStream.fromPairs(Seq((1L, 2L)))
-    val cl = ClusteringResult(Array(0, 1), Array(9, 1), Array(true, false),
+    val cl = clusteringResult(Array(0, 1), Array(9, 1), Array(true, false),
       Map(0 -> Seq(2)), 3, Array(9L, 1L, 0L))
     // clusters 0,1,2 -> partitions 0,1,3: mirror partition 3 != p_v
     val part = PartitionTransformation.transform(s, cl, Array(0, 1, 3), 4, 4.0)
@@ -91,7 +92,7 @@ class PartitionTransformationSpec extends SparkSpec {
   test("overflow spills to an underflow partition") {
     // k=2, tau=1: L_max = 2; four edges all preferring partition 0
     val s = EdgeStream.fromPairs(Seq((1L, 2L), (1L, 3L), (1L, 4L), (1L, 5L)))
-    val cl = ClusteringResult(Array(0, 0, 0, 0, 0), Array(4, 1, 1, 1, 1),
+    val cl = clusteringResult(Array(0, 0, 0, 0, 0), Array(4, 1, 1, 1, 1),
       Array(false, false, false, false, false), Map.empty, 1, Array(8L))
     val part = PartitionTransformation.transform(s, cl, Array(0), 2, 1.0)
     val load = part.groupBy(identity).view.mapValues(_.length).toMap
@@ -107,5 +108,16 @@ class PartitionTransformationSpec extends SparkSpec {
     val placed = ClusterPartitioning.game(cg, 8, cg.lambdaMax(8))
     val b = PartitionTransformation.transform(s, cl, placed.assignment, 8, 1.0)
     assert(a.toSeq == b.toSeq)
+  }
+
+  test("k < 1 is rejected with the value named") {
+    val s = TestGraphs.handStream
+    val cl = StreamingClustering.cluster(s, 100, splitting = true)
+    for (k <- Seq(0, -3)) {
+      val e = intercept[IllegalArgumentException] {
+        PartitionTransformation.transform(s, cl, Array.fill(cl.numClusters)(0), k, 1.0)
+      }
+      assert(e.getMessage.contains(s"got $k"), e.getMessage)
+    }
   }
 }
