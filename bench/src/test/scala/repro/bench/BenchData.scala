@@ -19,11 +19,7 @@ object BenchData {
   private val runs = scala.collection.mutable.Map[(String, String, Int), RunResult]()
 
   def stream(spark: SparkSession, name: String): EdgeStream = synchronized {
-    streams.getOrElseUpdate(name, {
-      val spec = WebGraphs.all.find(_.name == name)
-        .getOrElse(sys.error(s"unknown dataset $name"))
-      EdgeStream.fromDF(spec.df(spark))
-    })
+    streams.getOrElseUpdate(name, EdgeStream.fromDF(WebGraphs.byName(name).df(spark)))
   }
 
   /** Cached partitioning run (one per dataset × algorithm × k). */

@@ -1,7 +1,7 @@
 package repro.bench
 
 import repro.SparkSpec
-import repro.core._
+import repro.exp.Runner
 
 /** Paper Fig. 9 — ablation on IT: CLUGP vs CLUGP-S (no splitting) and
   * CLUGP-G (greedy cluster placement instead of the game). Paper shape:
@@ -12,13 +12,9 @@ class F9AblationBench extends SparkSpec {
 
   test("Fig 9: CLUGP vs CLUGP-S vs CLUGP-G on it-lite") {
     val s = BenchData.stream(spark, "it-lite")
-    val variants = Seq(
-      "CLUGP"   -> ClugpConfig(),
-      "CLUGP-S" -> ClugpConfig(splitting = false),
-      "CLUGP-G" -> ClugpConfig(gameMode = GreedyPlacement))
-    val rows = for (k <- BenchData.KSweep; (name, cfg) <- variants) yield {
-      val q = Metrics.evaluate(s, Clugp.run(s, k, cfg).part, k)
-      Seq(k.toString, name, f"${q.replicationFactor}%.3f", f"${q.relativeBalance}%.3f")
+    val rows = for (k <- BenchData.KSweep; clugp <- Runner.ablation) yield {
+      val r = Runner.run("it-lite", s, clugp, k)
+      Seq(k.toString, r.algo, f"${r.rf}%.3f", f"${r.balance}%.3f")
     }
     BenchData.emit("F9 ablation (it-lite)", Seq("k", "variant", "rf", "balance"), rows)
 

@@ -6,9 +6,9 @@ import repro.partitioners.{PartitionAssignment, StreamingPartitioner}
 
 /** How pass 2 maps clusters to partitions. */
 sealed trait GameMode
-/** Single-threaded best-response over all clusters (one batch). */
-case object SequentialGame extends GameMode
-/** Paper §V-D: consecutive-id batches played by a thread pool. */
+/** Paper §V-D: consecutive-id batches played by a thread pool. One batch
+  * on one thread (`ParallelGame(Int.MaxValue, 1)`) is the sequential game
+  * over all clusters, [[ClusterPartitioning.game]]. */
 final case class ParallelGame(batchSize: Int = 6400, threads: Int = 8) extends GameMode
 /** CLUGP-G ablation: big-cluster-to-small-partition greedy, no game. */
 case object GreedyPlacement extends GameMode
@@ -67,7 +67,6 @@ final class Clugp(cfg: ClugpConfig = ClugpConfig()) extends StreamingPartitioner
     val cg = ClusterGraph.build(stream, clustering)
     val lambda = cg.lambdaMax(k) * (cfg.weight / (1.0 - cfg.weight))
     val placed = cfg.gameMode match {
-      case SequentialGame     => ClusterPartitioning.game(cg, k, lambda, cfg.seed, init = cfg.init)
       case ParallelGame(b, t) => ClusterPartitioning.parallelGame(cg, k, lambda, b, t, cfg.seed, init = cfg.init)
       case GreedyPlacement    => ClusterPartitioning.greedy(cg, k)
     }

@@ -12,6 +12,11 @@ final case class RunResult(
     f"$balance%.3f", timeMs.toString, spaceBytes.toString)
 }
 
+object RunResult {
+  /** Column names of [[RunResult.row]]. */
+  val header: Seq[String] = Seq("dataset", "algo", "k", "rf", "balance", "time_ms", "space_bytes")
+}
+
 /** Runs the paper's six partitioners under §VI-A's protocol: each
   * algorithm gets its best stream order (BFS for CLUGP/Mint, random for
   * the rest) and default parameters. */
@@ -25,6 +30,14 @@ object Runner {
     new GreedyPartitioner,
     new HdrfPartitioner(),
     new Clugp(ClugpConfig(gameMode = ParallelGame(threads = gameThreads))),
+  )
+
+  /** Fresh CLUGP and its two ablations (Fig. 9): CLUGP-S without the
+    * splitting operation, CLUGP-G with greedy placement instead of the game. */
+  def ablation: Seq[Clugp] = Seq(
+    new Clugp(),
+    new Clugp(ClugpConfig(splitting = false)),
+    new Clugp(ClugpConfig(gameMode = GreedyPlacement)),
   )
 
   /** Run `algo` on the BFS-ordered `stream` with its preferred order. */

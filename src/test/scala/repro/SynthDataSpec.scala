@@ -158,21 +158,27 @@ class SynthDataSpec extends SparkSpec {
     assert(n <= WebGraphs.UKLite.nE)
   }
 
+  test("byName finds every dataset and names the known ones on a miss") {
+    for (spec <- WebGraphs.all) assert(WebGraphs.byName(spec.name) == spec)
+    val e = intercept[IllegalArgumentException](WebGraphs.byName("nope"))
+    assert(e.getMessage.contains("nope") && e.getMessage.contains("uk-lite"), e.getMessage)
+  }
+
   test("zipfKeys is skewed toward small keys") {
-    val df = SynthData.zipfKeys(spark, 10000, 100)
+    val df = TpchLite.zipfKeys(spark, 10000, 100)
     val top = df.where(col("k") <= 5).count()
     assert(top > 1000, s"zipf top-5 keys got $top of 10000 rows")
   }
 
   test("uniformKeys covers the key range roughly evenly") {
-    val df = SynthData.uniformKeys(spark, 10000, 10)
+    val df = TpchLite.uniformKeys(spark, 10000, 10)
     val counts = df.groupBy("k").count().collect().map(_.getLong(1))
     assert(counts.length == 10)
     assert(counts.min > 500 && counts.max < 2000)
   }
 
   test("oracle: tpch-lite lineitem aggregates match DuckDB") {
-    val li = SynthData.lineitem(spark, sf = 0.001)
+    val li = TpchLite.lineitem(spark, sf = 0.001)
     val q = li.groupBy("l_returnflag")
       .agg(count(lit(1)) as "cnt", round(sum("l_quantity"), 2) as "qty")
     Oracle.assertEquivalent(q,
@@ -183,8 +189,8 @@ class SynthDataSpec extends SparkSpec {
   }
 
   test("oracle: tpch-lite orders join customer matches DuckDB") {
-    val o = SynthData.orders(spark, sf = 0.001)
-    val c = SynthData.customer(spark, sf = 0.001)
+    val o = TpchLite.orders(spark, sf = 0.001)
+    val c = TpchLite.customer(spark, sf = 0.001)
     val q = o.join(c, o("o_custkey") === c("c_custkey"))
       .groupBy("c_mktsegment").agg(count(lit(1)) as "cnt")
     Oracle.assertEquivalent(q,

@@ -53,7 +53,7 @@ class ClugpSpec extends SparkSpec {
 
   test("lastStats reports pass timings and game telemetry") {
     val s = TestGraphs.tiny(spark)
-    val c = new Clugp(ClugpConfig(gameMode = SequentialGame))
+    val c = new Clugp(ClugpConfig(gameMode = ParallelGame(batchSize = Int.MaxValue, threads = 1)))
     c.partition(s, 8)
     val st = c.lastStats
     assert(st.numClusters > 0)
@@ -121,7 +121,8 @@ class ClugpSpec extends SparkSpec {
   test("k < 1 fails clearly, for every game mode") {
     val s = TestGraphs.handStream
     for (k <- Seq(0, -3);
-         mode <- Seq(SequentialGame, ParallelGame(64, 2), GreedyPlacement)) {
+         mode <- Seq(ParallelGame(batchSize = Int.MaxValue, threads = 1), ParallelGame(64, 2),
+                     GreedyPlacement)) {
       val e = intercept[IllegalArgumentException] {
         Clugp.run(s, k, ClugpConfig(gameMode = mode))
       }

@@ -275,7 +275,6 @@ object ReferencePasses {
       clustering.divided, clustering.mirrorClusters, clustering.numClusters, clustering.volumes))
     val lambda = cg.lambdaMax(k) * (cfg.weight / (1.0 - cfg.weight))
     val placed = cfg.gameMode match {
-      case SequentialGame     => game(cg, k, lambda, cfg.seed, init = cfg.init)
       case ParallelGame(b, t) => parallelGame(cg, k, lambda, b, t, cfg.seed, init = cfg.init)
       case GreedyPlacement    => ClusterPartitioning.greedy(cg, k)
     }

@@ -111,7 +111,7 @@ class ReferencePassesSpec extends SparkSpec {
 
   test("Clugp.run equals the reference pipeline") {
     val configs = Seq(ClugpConfig(), ClugpConfig(splitting = false),
-      ClugpConfig(gameMode = SequentialGame, init = RandomInit))
+      ClugpConfig(gameMode = ParallelGame(batchSize = Int.MaxValue, threads = 1), init = RandomInit))
     for ((name, s) <- graphs; k <- Ks; cfg <- configs)
       assert(Arrays.equals(Clugp.run(s, k, cfg).part, ReferencePasses.run(s, k, cfg)),
         s"$name k=$k $cfg")

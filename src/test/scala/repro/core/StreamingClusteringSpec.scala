@@ -94,7 +94,7 @@ class StreamingClusteringSpec extends SparkSpec {
     val s = TestGraphs.tiny(spark)
     for (k <- Seq(8, 16)) {
       def rf(split: Boolean): Double = {
-        val cfg = ClugpConfig(splitting = split, gameMode = SequentialGame)
+        val cfg = ClugpConfig(splitting = split, gameMode = ParallelGame(batchSize = Int.MaxValue, threads = 1))
         Metrics.evaluate(s, Clugp.run(s, k, cfg).part, k).replicationFactor
       }
       val withSplit = rf(true); val withoutSplit = rf(false)

@@ -9,6 +9,10 @@ class RunnerSpec extends SparkSpec {
     assert(names == Seq("Hashing", "DBH", "Mint", "Greedy", "HDRF", "CLUGP"))
   }
 
+  test("ablation holds CLUGP and its two Fig. 9 variants") {
+    assert(Runner.ablation.map(_.name) == Seq("CLUGP", "CLUGP-S", "CLUGP-G"))
+  }
+
   test("run honours the preferred stream order and fills every field") {
     val s = TestGraphs.tiny(spark).take(3000)
     for (algo <- Runner.allAlgorithms(gameThreads = 2)) {
