@@ -7,7 +7,7 @@ import org.apache.spark.HashPartitioner
 import org.apache.spark.sql.{DataFrame, Row, SparkSession}
 import org.apache.spark.sql.functions._
 import org.apache.spark.sql.types._
-import repro.Blocks.{bySender, sortedDistinct}
+import repro.Blocks.{LongIndex, bySender}
 
 /** The synthetic web graphs that stand in for the paper's WebGraph crawls
   * (Table III): [[webGraph]], a deterministic power-law generator with
@@ -177,28 +177,32 @@ private final case class WebGraphDraw(
     // the plan used the offset magnitude twice inside `when`, and codegen
     // gave each use its own rand(seed + 4) state, drawn only on its branch
     val (negOffU, posOffU) = (rand(4), rand(4))
-    def offMag(u: XorShift) =
-      math.ceil(-StrictMath.log(u.nextDouble() + 1e-12) * hostOffsetScale).toLong
     val src = Array.fill(slices)(new ArrayBuilder.ofLong)
     val dst = Array.fill(slices)(new ArrayBuilder.ofLong)
     val ids = Array.fill(slices)(new ArrayBuilder.ofLong)
     var id = SynthData.sliceStart(nEdges, slices, p)
     val end = SynthData.sliceStart(nEdges, slices, p + 1)
     while (id < end) {
-      val s = srcRank(srcU.nextDouble())
-      val hub = hubRank(hubU.nextDouble())
-      val slot = slotRank(slotU.nextDouble())
-      val slot2 = slotRank(slot2U.nextDouble())
-      val hostOffset = if (signU.nextDouble() < 0.5) -offMag(negOffU) else offMag(posOffU)
+      // every state draws as in the plan; only the branch `mix` picks pays
+      // for its Zipf pow or offset log
+      val uSrc = srcU.nextDouble()
+      val uHub = hubU.nextDouble()
+      val uSlot = slotU.nextDouble()
+      val uSlot2 = slot2U.nextDouble()
+      val negative = signU.nextDouble() < 0.5
+      val uOff = (if (negative) negOffU else posOffU).nextDouble()
       val mix = mixU.nextDouble()
+      val s = srcRank(uSrc)
       val d =
         if (mix < pIntra) // intra-host: a zipf slot within the source's host block
-          math.min(nV, (s - 1) - Math.floorMod(s - 1, hostSize) + slot)
+          math.min(nV, (s - 1) - Math.floorMod(s - 1, hostSize) + slotRank(uSlot))
         else if (mix < pIntra + pNear) { // neighbor host: a zipf slot within a nearby host block
+          val offMag = math.ceil(-StrictMath.log(uOff + 1e-12) * hostOffsetScale).toLong
+          val hostOffset = if (negative) -offMag else offMag
           val nearHost = math.min(nHosts - 1,
             math.max(0L, math.floor((s - 1).toDouble / hostSize).toLong + hostOffset))
-          math.min(nV, nearHost * hostSize + slot2)
-        } else hub
+          math.min(nV, nearHost * hostSize + slotRank(uSlot2))
+        } else hubRank(uHub)
       if (s != d) {
         val b = (s % slices).toInt
         src(b).addOne(s); dst(b).addOne(d); ids(b).addOne(id)
@@ -234,20 +238,12 @@ private object WebGraphDraw {
     val src = Array.concat(chunks.map(_._1): _*)
     val dst = Array.concat(chunks.map(_._2): _*)
     val id = Array.concat(chunks.map(_._3): _*)
-    // src and dst lie in [1, Int.MaxValue], so the pair fits one key
-    val key = new Array[Long](src.length)
-    var e = 0
-    while (e < key.length) { key(e) = (src(e) << 32) | dst(e); e += 1 }
-    val distinct = sortedDistinct(key.clone())
-    val seen = new Array[Boolean](distinct.length)
-    val keep = new ArrayBuilder.ofInt
-    e = 0
-    while (e < key.length) {
-      val k = java.util.Arrays.binarySearch(distinct, key(e))
-      if (!seen(k)) { seen(k) = true; keep.addOne(e) }
-      e += 1
-    }
-    keep.result().iterator.map(e => Row(src(e), dst(e), id(e)))
+    // src and dst lie in [1, Int.MaxValue], so the pair fits one key; a
+    // key's first insert is its lowest-id copy
+    val seen = new LongIndex("edges", src.length)
+    Iterator.range(0, src.length)
+      .filter { e => val n = seen.size; seen.add((src(e) << 32) | dst(e)) == n }
+      .map(e => Row(src(e), dst(e), id(e)))
   }
 }
 

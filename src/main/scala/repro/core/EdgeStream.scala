@@ -5,7 +5,7 @@ import scala.collection.mutable.ArrayBuilder
 import org.apache.spark.sql.{DataFrame, SparkSession}
 import org.apache.spark.sql.classic.ClassicConversions.castToImpl
 import org.apache.spark.sql.functions.col
-import repro.Blocks.sortedDistinct
+import repro.Blocks.{LongIndex, countingSort}
 
 /** A materialized edge stream: the paper's `G_S = {e_1 … e_|E|}`.
   *
@@ -81,7 +81,9 @@ object EdgeStream {
     * driver merges the sorted runs and relabels.
     *
     * @throws IllegalArgumentException if a `src`, `dst` or `id` is null, or
-    *         there are more than `Int.MaxValue` edges or vertices
+    *         there are more than `Int.MaxValue` edges, or more than
+    *         `LongIndex.MaxKeys` (2²⁹) vertices, or sources or ids in one
+    *         partition
     */
   def fromDF(edges: DataFrame): EdgeStream = {
     val rows = castToImpl(edges.select(Columns.map(col(_).cast("long")): _*)).queryExecution.toRdd
@@ -106,7 +108,11 @@ object EdgeStream {
 
   /** Build a stream from (src, dst) pairs already in stream order,
     * remapping arbitrary long ids to dense 0-based ints by first
-    * appearance. */
+    * appearance.
+    *
+    * @throws IllegalArgumentException if there are more than
+    *         `LongIndex.MaxKeys` (2²⁹) vertices
+    */
   def fromPairs(pairs: Seq[(Long, Long)]): EdgeStream = {
     val n = pairs.length
     val src = new Array[Long](n); val dst = new Array[Long](n)
@@ -132,32 +138,24 @@ object EdgeStream {
   }
 
   /** Positions `0 until src.length` sorted by `(src, id)`, ties in position
-    * order: a counting sort over the dense rank of each `(src, id)` pair. */
+    * order: two stable counting passes, by id rank and then by src rank. */
   private def stableOrder(src: Array[Long], id: Array[Long]): Array[Int] = {
-    val srcRank = ranks(src)
-    val idRank = ranks(id)
-    val key = new Array[Long](src.length)
-    var e = 0
-    while (e < key.length) { key(e) = (srcRank(e).toLong << 32) | idRank(e); e += 1 }
-    val keyRank = ranks(key)
-    val start = new Array[Int](key.length + 1)
-    e = 0
-    while (e < key.length) { start(keyRank(e) + 1) += 1; e += 1 }
-    var r = 1
-    while (r < start.length) { start(r) += start(r - 1); r += 1 }
-    val order = new Array[Int](key.length)
-    e = 0
-    while (e < key.length) { order(start(keyRank(e))) = e; start(keyRank(e)) += 1; e += 1 }
-    order
+    val (idRank, idCount) = denseRanks(id, "edge ids")
+    val (srcRank, srcCount) = denseRanks(src, "sources")
+    countingSort(countingSort(Array.range(0, src.length), idRank, idCount), srcRank, srcCount)
   }
 
-  /** The rank of each value of `a` among its distinct values. */
-  private def ranks(a: Array[Long]): Array[Int] = {
-    val distinct = sortedDistinct(a.clone())
+  /** The rank of each value of `a` among its distinct values, and their
+    * count; only the distinct values are sorted. */
+  private def denseRanks(a: Array[Long], what: String): (Array[Int], Int) = {
+    val index = new LongIndex(what, a.length)
     val out = new Array[Int](a.length)
     var e = 0
-    while (e < a.length) { out(e) = java.util.Arrays.binarySearch(distinct, a(e)); e += 1 }
-    out
+    while (e < a.length) { out(e) = index.add(a(e)); e += 1 }
+    val rank = index.ranks
+    e = 0
+    while (e < a.length) { out(e) = rank(out(e)); e += 1 }
+    (out, index.size)
   }
 
   /** Merges the runs k ways by `(src, id)`, ties in run order; returns the
@@ -207,39 +205,11 @@ object EdgeStream {
   /** Dense 0-based ids by first appearance along the stream, the source of
     * an edge before its destination. */
   private def relabel(src: Array[Long], dst: Array[Long]): EdgeStream = {
-    val vertices = union(sortedDistinct(src.clone()), sortedDistinct(dst.clone()))
-    val label = Array.fill(vertices.length)(-1)
-    var next = 0
-    def map(v: Long): Int = {
-      val i = java.util.Arrays.binarySearch(vertices, v)
-      if (label(i) < 0) { label(i) = next; next += 1 }
-      label(i)
-    }
+    val label = new LongIndex("vertices")
     val s = new Array[Int](src.length); val d = new Array[Int](src.length)
     var e = 0
-    while (e < src.length) { s(e) = map(src(e)); d(e) = map(dst(e)); e += 1 }
-    new EdgeStream(s, d, next)
-  }
-
-  /** The sorted union of two sorted distinct arrays. */
-  private def union(a: Array[Long], b: Array[Long]): Array[Long] = {
-    // one walk counts, a second one fills
-    def walk(out: Array[Long]): Long = {
-      var i = 0
-      var j = 0
-      var n = 0L
-      while (i < a.length || j < b.length) {
-        val v = if (j == b.length || (i < a.length && a(i) <= b(j))) a(i) else b(j)
-        if (i < a.length && a(i) == v) i += 1
-        if (j < b.length && b(j) == v) j += 1
-        if (out != null) out(n.toInt) = v
-        n += 1
-      }
-      n
-    }
-    val out = new Array[Long](intCount("vertices", walk(null)))
-    walk(out)
-    out
+    while (e < src.length) { s(e) = label.add(src(e)); d(e) = label.add(dst(e)); e += 1 }
+    new EdgeStream(s, d, label.size)
   }
 
   /** `n` as an array length.

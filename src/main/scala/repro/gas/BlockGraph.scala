@@ -8,7 +8,7 @@ import org.apache.spark.rdd.RDD
 import org.apache.spark.sql.{DataFrame, SparkSession}
 import org.apache.spark.sql.classic.ClassicConversions.castToImpl
 import org.apache.spark.sql.functions.col
-import repro.Blocks.{bySender, sortedDistinct}
+import repro.Blocks.{LongIndex, bySender, countingSort, sortedDistinct}
 
 /** The edges of the GAS partitions `part ≡ id (mod P)`, in primitive arrays.
   *
@@ -48,19 +48,30 @@ private[gas] final class EdgeBlock(
 
 private[gas] object EdgeBlock {
 
-  /** Builds block `id` of `p` from the edge arrays routed to it. */
+  /** Builds block `id` of `p` from the edge arrays routed to it. Endpoints
+    * and replica keys get dense ids from one index each; only their distinct
+    * values are sorted, and the edges are ordered by two counting passes. */
   def build(id: Int, p: Int, parts: Iterator[(Array[Long], Array[Long], Array[Int])]): EdgeBlock = {
     val chunks = parts.toArray
     val srcIds = Array.concat(chunks.map(_._1).toIndexedSeq: _*)
     val dstIds = Array.concat(chunks.map(_._2).toIndexedSeq: _*)
     val part = Array.concat(chunks.map(_._3).toIndexedSeq: _*)
     val ne = srcIds.length
-    val byId = sortedDistinct(Array.concat(srcIds, dstIds))
-    val isSource = new Array[Boolean](byId.length)
-    srcIds.foreach(v => isSource(java.util.Arrays.binarySearch(byId, v)) = true)
+    // sources first, so vertex ids below `sources` are the sources
+    val vertices = new LongIndex("vertices", ne)
+    val srcV = new Array[Int](ne)
+    val dstV = new Array[Int](ne)
+    var e = 0
+    while (e < ne) { srcV(e) = vertices.add(srcIds(e)); e += 1 }
+    val sources = vertices.size
+    e = 0
+    while (e < ne) { dstV(e) = vertices.add(dstIds(e)); e += 1 }
 
-    // slot order: group 2m holds the sources mastered by m, group 2m+1 the rest
-    def group(i: Int) = 2 * masterOf(byId(i), p) + (if (isSource(i)) 0 else 1)
+    // slot order: group 2m holds the sources mastered by m, group 2m+1 the
+    // rest, each by id
+    val byId = vertices.sortedKeys
+    val idOf = byId.map(vertices(_))
+    def group(i: Int) = 2 * masterOf(byId(i), p) + (if (idOf(i) < sources) 0 else 1)
     val groupStart = new Array[Int](2 * p + 1)
     byId.indices.foreach(i => groupStart(group(i) + 1) += 1)
     for (g <- 1 to 2 * p) groupStart(g) += groupStart(g - 1)
@@ -70,42 +81,46 @@ private[gas] object EdgeBlock {
     var i = 0
     while (i < byId.length) {
       val g = group(i)
-      slot(i) = fill(g); vids(fill(g)) = byId(i); fill(g) += 1
+      slot(idOf(i)) = fill(g); vids(fill(g)) = byId(i); fill(g) += 1
       i += 1
     }
-    def slotOf(v: Long) = slot(java.util.Arrays.binarySearch(byId, v))
 
-    // replica keys (part, dst slot) per master block of dst
-    val repKeys = new Array[Long](ne)
-    val perMaster = Array.fill(p)(new ArrayBuilder.ofLong)
+    // replica keys (part, dst slot), ordered by master block of dst, then key
+    val replicas = new LongIndex("replicas", ne)
+    val repV = new Array[Int](ne)
     var minPart = 0
-    var e = 0
+    e = 0
     while (e < ne) {
-      repKeys(e) = (part(e).toLong << 32) | slotOf(dstIds(e))
-      perMaster(masterOf(dstIds(e), p)).addOne(repKeys(e))
+      repV(e) = replicas.add((part(e).toLong << 32) | slot(dstV(e)))
       minPart = math.min(minPart, part(e))
       e += 1
     }
-    val reps = perMaster.map(b => sortedDistinct(b.result()))
-    val repStart = reps.scanLeft(0)(_ + _.length)
-    val edgeKeys = new Array[Long](ne)
-    e = 0
-    while (e < ne) {
-      val m = masterOf(dstIds(e), p)
-      val r = repStart(m) + java.util.Arrays.binarySearch(reps(m), repKeys(e))
-      edgeKeys(e) = (r.toLong << 32) | slotOf(srcIds(e))
-      e += 1
+    val keys = replicas.sortedKeys
+    val master = keys.map(k => masterOf(vids(k.toInt), p))
+    val byMaster = countingSort(Array.range(0, keys.length), master, p)
+    val repStart = new Array[Int](p + 1)
+    master.foreach(m => repStart(m + 1) += 1)
+    for (m <- 1 to p) repStart(m) += repStart(m - 1)
+    val repOf = new Array[Int](keys.length)
+    val repVertex = new Array[Int](keys.length)
+    var r = 0
+    while (r < keys.length) {
+      val k = keys(byMaster(r))
+      repOf(replicas(k)) = r; repVertex(r) = k.toInt
+      r += 1
     }
-    java.util.Arrays.sort(edgeKeys)
+
+    // edges by (replica, src slot)
+    val srcSlot = new Array[Int](ne)
+    val edgeRep = new Array[Int](ne)
+    e = 0
+    while (e < ne) { srcSlot(e) = slot(srcV(e)); edgeRep(e) = repOf(repV(e)); e += 1 }
+    val order = countingSort(countingSort(Array.range(0, ne), srcSlot, vids.length), edgeRep, keys.length)
     val src = new Array[Int](ne)
     val rep = new Array[Int](ne)
     e = 0
-    while (e < ne) {
-      src(e) = edgeKeys(e).toInt
-      rep(e) = (edgeKeys(e) >>> 32).toInt
-      e += 1
-    }
-    new EdgeBlock(id, vids, src, rep, reps.flatMap(_.map(_.toInt)), groupStart, repStart, minPart)
+    while (e < ne) { src(e) = srcSlot(order(e)); rep(e) = edgeRep(order(e)); e += 1 }
+    new EdgeBlock(id, vids, src, rep, repVertex, groupStart, repStart, minPart)
   }
 
   /** The master block of vertex `v`. */

@@ -38,6 +38,17 @@ class SynthDataSpec extends SparkSpec {
     }
   }
 
+  test("fromDF gives the pinned stream of Tiny, TinySocial and UKLite") {
+    // dataset fingerprints (UKLite's is the one in EXPERIMENTS.md Table
+    // III): a change to the rows, their order or the labels moves them
+    val want = Seq(WebGraphs.Tiny -> "1af7e1ede4149d09", WebGraphs.TinySocial -> "c9e703fbe68f1508",
+                   WebGraphs.UKLite -> "59937bfe59c74548")
+    for ((spec, hash) <- want) {
+      val got = TestGraphs.streamHash(EdgeStream.fromDF(spec.df(spark)))
+      assert(f"$got%016x" == hash, spec.name)
+    }
+  }
+
   test("XorShift replays rand(seed) of spark.range value for value") {
     val n = 1001L
     for (seed <- Seq(7L, 114L); slices <- Seq(3, 16)) {

@@ -18,6 +18,15 @@ class EdgeStreamSpec extends SparkSpec {
     assert(s.src(0) == 0 && s.dst(0) == 1)
   }
 
+  test("fromPairs labels extreme ids by first appearance") {
+    val top = 1L << 32
+    val s = EdgeStream.fromPairs(Seq((Long.MinValue, Long.MaxValue), (-1L, Long.MinValue),
+      (top, 1L), (1L, -1L), (0L, top | 1L), (Long.MaxValue, top)))
+    assert(s.numVertices == 7)
+    assert(s.src.toSeq == Seq(0, 2, 3, 4, 5, 1))
+    assert(s.dst.toSeq == Seq(1, 0, 4, 2, 6, 3))
+  }
+
   test("degrees counts both endpoints") {
     val s = TestGraphs.handStream
     assert(s.degrees.sum == 2 * s.numEdges)
@@ -57,6 +66,33 @@ class EdgeStreamSpec extends SparkSpec {
     // sorted stream: (1,2),(1,3),(2,3),(3,1); dense ids: 1->0,2->1,3->2
     assert(s.src.toSeq == Seq(0, 0, 1, 2))
     assert(s.dst.toSeq == Seq(1, 2, 2, 0))
+  }
+
+  test("fromDF of general input equals a stable sort by (src, id) and a first-appearance relabel") {
+    import org.apache.spark.sql.functions.spark_partition_id
+    import spark.implicits._
+    val rnd = new scala.util.Random(11)
+    val pool = Array(Long.MinValue, -(1L << 40), -3L, 0L, 2L, 9L, (1L << 32) + 5, 1L << 50, Long.MaxValue)
+    def draw() = pool(rnd.nextInt(pool.length))
+    val rows = Seq.tabulate(3000)(i => (draw(), draw() ^ i, rnd.nextInt(40).toLong - 20))
+    val df = rows.toDF("src", "dst", "id").repartition(5).cache()
+    try {
+      val held = df.select($"src", $"dst", $"id", spark_partition_id() as "p").collect()
+        .map(r => (r.getLong(0), r.getLong(1), r.getLong(2), r.getInt(3)))
+      // the input is general: ids out of order within a partition, and
+      // equal (src, id) keys in more than one partition
+      assert(held.groupBy(_._4).values.exists(p => p.map(_._3).toSeq != p.map(_._3).sorted.toSeq))
+      assert(held.groupBy(r => (r._1, r._3)).values.exists(_.map(_._4).distinct.length > 1))
+
+      val sorted = held.sortBy(r => (r._1, r._3)) // stable: ties in partition order
+      val label = scala.collection.mutable.HashMap.empty[Long, Int]
+      def relabel(v: Long) = label.getOrElseUpdate(v, label.size)
+      val want = sorted.map(r => { val u = relabel(r._1); (u, relabel(r._2)) })
+      val s = EdgeStream.fromDF(df)
+      assert(s.numVertices == label.size)
+      assert(s.src.toSeq == want.map(_._1).toSeq)
+      assert(s.dst.toSeq == want.map(_._2).toSeq)
+    } finally df.unpersist()
   }
 
   test("fromDF rejects a null src, dst or id") {
