@@ -8,7 +8,7 @@ import org.apache.spark.rdd.RDD
 import org.apache.spark.sql.{DataFrame, SparkSession}
 import org.apache.spark.sql.classic.ClassicConversions.castToImpl
 import org.apache.spark.sql.functions.col
-import repro.Blocks.{LongIndex, bySender, countingSort, sortedDistinct}
+import repro.Blocks.{LongIndex, bySender, countingSort}
 
 /** The edges of the GAS partitions `part ≡ id (mod P)`, in primitive arrays.
   *
@@ -163,11 +163,17 @@ private[gas] object MasterBlock {
     }.filter { case (m, _) => g(2 * m + 2) > g(2 * m) }
   }
 
+  /** Builds master block `id` of `p` from the announcements of the edge
+    * blocks. Its vertices get dense ids from one index; only their distinct
+    * values are sorted, and each route entry is one index lookup. */
   def build(id: Int, p: Int, msgs: Iterator[(Int, (Int, Announce))]): MasterBlock = {
     val from = bySender[Announce](p, msgs)
-    val ids = sortedDistinct(Array.concat(
-      from.filter(_ != null).flatMap(a => Seq(a._1, a._3)).toIndexedSeq: _*))
-    def positions(vs: Array[Long]) = vs.map(java.util.Arrays.binarySearch(ids, _))
+    val vertices = new LongIndex("vertices", from.filter(_ != null).map(a => a._1.length + a._3.length).sum)
+    for (a <- from if a != null) { a._1.foreach(vertices.add); a._3.foreach(vertices.add) }
+    val ids = vertices.sortedKeys
+    val pos = new Array[Int](ids.length)
+    ids.indices.foreach(i => pos(vertices(ids(i))) = i)
+    def positions(vs: Array[Long]) = vs.map(v => pos(vertices(v)))
     val outDeg = new Array[Int](ids.length)
     val outRoute = Array.fill(p)(Array.emptyIntArray)
     val inRoute = Array.fill(p)(Array.emptyIntArray)
@@ -184,8 +190,9 @@ private[gas] object MasterBlock {
 /** A vertex-cut graph loaded into `P = defaultParallelism` edge blocks and
   * `P` master blocks, GraphX-style: GAS partition `part` lives in edge
   * block `part % P`, the master of vertex `v` in master block `v % P`.
-  * Edges never move after load; a superstep ships one value array per
-  * (master block, edge block) pair and one partial array back.
+  * Edges never move after load; a superstep ships one value array and one
+  * scalar per (master block, edge block) pair, and one partial array and
+  * `P` scalars back.
   *
   * Every RDD the graph caches is released by [[release]].
   */
@@ -207,36 +214,49 @@ private[gas] final class BlockGraph private (
   def release(): Unit = { cached.foreach(_.unpersist(blocking = false)); cached.clear() }
 
   /** One gather–apply round over per-master-block state `V`, with
-    * messages of `A` values.
+    * messages of `A` values and one scalar summed over all master blocks.
     *
+    * Every master block sends every edge block its scalar with its values,
+    * and every edge block forwards all `P` scalars to every master block with
+    * its partials, so the sum reaches each master block inside the round's
+    * two shuffles: rounds chain lazily, and no round needs a driver action.
+    *
+    * @param global  master block `m`'s share of the scalar, from its state
     * @param scatter the values master block `m` sends to edge block `b`,
     *                one per `m.outRoute(b)` entry
     * @param gather  an edge block's local gather: from one value per slot
     *                (set for sources only) to one partial per replica
-    * @param apply   a master block's update from its state and the partials
-    *                of each edge block (null where none), indexed by block
+    * @param apply   a master block's update from its state, the partials of
+    *                each edge block (empty where none), indexed by block,
+    *                and the scalar summed in master block order
     */
   def superstep[V: ClassTag, A: ClassTag](state: RDD[V])(
+      global: (MasterBlock, V) => Double,
       scatter: (MasterBlock, V, Int) => Array[A],
       gather: (EdgeBlock, Array[A]) => Array[A],
-      apply: (MasterBlock, V, Array[Array[A]]) => V): RDD[V] = {
+      apply: (MasterBlock, V, Array[Array[A]], Double) => V): RDD[V] = {
     val p = this.p
     val toMirrors = masters.zipPartitions(state) { (ms, vs) =>
       val mb = only(ms); val v = only(vs)
-      (0 until p).iterator.filter(mb.outRoute(_).nonEmpty).map(b => (b, (mb.id, scatter(mb, v, b))))
+      val share = global(mb, v)
+      (0 until p).iterator.map(b => (b, (mb.id, (share, scatter(mb, v, b)))))
     }.partitionBy(partitioner)
     val toMasters = edges.zipPartitions(toMirrors) { (es, msgs) =>
       val eb = only(es)
+      val shares = new Array[Double](p)
       val vals = new Array[A](eb.vids.length)
       val in = bySender(p, msgs)
-      for (m <- 0 until p if in(m) != null)
-        System.arraycopy(in(m), 0, vals, eb.groupStart(2 * m), in(m).length)
+      for (m <- 0 until p) {
+        val (share, values) = in(m)
+        shares(m) = share
+        System.arraycopy(values, 0, vals, eb.groupStart(2 * m), values.length)
+      }
       val acc = gather(eb, vals)
-      (0 until p).iterator.filter(m => eb.repStart(m + 1) > eb.repStart(m))
-        .map(m => (m, (eb.id, acc.slice(eb.repStart(m), eb.repStart(m + 1)))))
+      (0 until p).iterator.map(m => (m, (eb.id, (shares, acc.slice(eb.repStart(m), eb.repStart(m + 1))))))
     }.partitionBy(partitioner)
     masters.zipPartitions(state, toMasters) { (ms, vs, msgs) =>
-      Iterator(apply(only(ms), only(vs), bySender(p, msgs)))
+      val in = bySender(p, msgs)
+      Iterator(apply(only(ms), only(vs), in.map(_._2), in(0)._1.sum))
     }
   }
 

@@ -26,7 +26,10 @@ object GasEngine {
     *
     * Standard normalized formulation with dangling-mass redistribution:
     * `r'(v) = (1−d)/n + d·(Σ_{u→v} r(u)/outdeg(u) + dangling/n)`.
-    * Ranks sum to 1 every iteration.
+    * Ranks sum to 1 every iteration. The dangling mass rides each
+    * superstep's shuffles, so every superstep is built lazily and all of
+    * them run in the one job that materializes the result; their states
+    * stay cached until then.
     *
     * @param assigned DataFrame `(id, src, dst, part)`
     * @return DataFrame `(v, rank)` for every vertex in the graph
@@ -39,14 +42,10 @@ object GasEngine {
     try {
       val n = g.numVertices.toDouble
       var ranks = g.keep(g.masters.map(mb => Array.fill(mb.ids.length)(1.0 / n)))
-      var dangling = danglingMass(g, ranks)
       var it = 0
       while (it < iters && n > 0) {
-        val next = g.keep(g.superstep(ranks)(scatterRank, gatherSum,
-          applyRank((1.0 - damping) / n, damping, dangling / n)))
-        dangling = danglingMass(g, next)
-        g.drop(ranks)
-        ranks = next
+        ranks = g.keep(g.superstep(ranks)(danglingMass, scatterRank, gatherSum,
+          applyRank((1.0 - damping) / n, damping, n)))
         it += 1
       }
       resultDF(spark, g.result(ranks), "rank", DoubleType)
@@ -68,7 +67,7 @@ object GasEngine {
       var it = 0
       var converged = g.numVertices == 0
       while (it < maxIters && !converged) {
-        val next = g.keep(g.superstep(labels)(scatterLabel, gatherMin, applyMin))
+        val next = g.keep(g.superstep(labels)((_, _) => 0.0, scatterLabel, gatherMin, applyMin))
         val changed = labels.zipPartitions(next) { (as, bs) =>
           val (a, b) = (only(as), only(bs))
           Iterator(a.indices.count(i => a(i) != b(i)).toLong)
@@ -82,15 +81,13 @@ object GasEngine {
     } finally g.release()
   }
 
-  /** Rank mass on vertices without out-edges, summed in block order. */
-  private def danglingMass(g: BlockGraph, ranks: RDD[Array[Double]]): Double =
-    g.masters.zipPartitions(ranks) { (ms, rs) =>
-      val (mb, r) = (only(ms), only(rs))
-      var sum = 0.0
-      var v = 0
-      while (v < r.length) { if (mb.outDeg(v) == 0) sum += r(v); v += 1 }
-      Iterator(sum)
-    }.collect().sum
+  /** Rank mass on the block's vertices without out-edges. */
+  private def danglingMass(mb: MasterBlock, r: Array[Double]): Double = {
+    var sum = 0.0
+    var v = 0
+    while (v < r.length) { if (mb.outDeg(v) == 0) sum += r(v); v += 1 }
+    sum
+  }
 
   private def scatterRank(mb: MasterBlock, r: Array[Double], b: Int): Array[Double] = {
     val route = mb.outRoute(b)
@@ -107,18 +104,17 @@ object GasEngine {
     acc
   }
 
-  private def applyRank(base: Double, damping: Double, danglingShare: Double)(
-      mb: MasterBlock, r: Array[Double], partials: Array[Array[Double]]): Array[Double] = {
+  private def applyRank(base: Double, damping: Double, n: Double)(
+      mb: MasterBlock, r: Array[Double], partials: Array[Array[Double]], dangling: Double): Array[Double] = {
     val acc = new Array[Double](r.length)
     var b = 0
     while (b < partials.length) {
-      if (partials(b) != null) {
-        val route = mb.inRoute(b); val msg = partials(b)
-        var i = 0
-        while (i < msg.length) { acc(route(i)) += msg(i); i += 1 }
-      }
+      val route = mb.inRoute(b); val msg = partials(b)
+      var i = 0
+      while (i < msg.length) { acc(route(i)) += msg(i); i += 1 }
       b += 1
     }
+    val danglingShare = dangling / n
     var v = 0
     while (v < acc.length) { acc(v) = base + damping * (acc(v) + danglingShare); v += 1 }
     acc
@@ -143,15 +139,14 @@ object GasEngine {
     acc
   }
 
-  private def applyMin(mb: MasterBlock, c: Array[Long], partials: Array[Array[Long]]): Array[Long] = {
+  private def applyMin(mb: MasterBlock, c: Array[Long], partials: Array[Array[Long]],
+                       unused: Double): Array[Long] = {
     val next = c.clone()
     var b = 0
     while (b < partials.length) {
-      if (partials(b) != null) {
-        val route = mb.inRoute(b); val msg = partials(b)
-        var i = 0
-        while (i < msg.length) { next(route(i)) = math.min(next(route(i)), msg(i)); i += 1 }
-      }
+      val route = mb.inRoute(b); val msg = partials(b)
+      var i = 0
+      while (i < msg.length) { next(route(i)) = math.min(next(route(i)), msg(i)); i += 1 }
       b += 1
     }
     next

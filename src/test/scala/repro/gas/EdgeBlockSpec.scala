@@ -24,11 +24,12 @@ class EdgeBlockSpec extends SparkSpec {
     }
   }
 
-  /** Asserts the index-based build equals the sort-and-search reference on
-    * every block, field by field. */
+  /** Asserts the index-based builds equal the sort-and-search references,
+    * field by field: every edge block, then every master block built from
+    * the edge blocks' announcements. */
   private def assertSameLayout(src: Array[Long], dst: Array[Long], part: Array[Int], p: Int,
-                               undirected: Boolean, clue: String): Unit =
-    routed(src, dst, part, p, undirected).zipWithIndex.foreach { case (in, b) =>
+                               undirected: Boolean, clue: String): Unit = {
+    val blocks = routed(src, dst, part, p, undirected).zipWithIndex.map { case (in, b) =>
       val got = EdgeBlock.build(b, p, in.iterator)
       val want = ReferenceEdgeBlock.build(b, p, in.iterator)
       val at = s"$clue, p=$p, undirected=$undirected, block $b"
@@ -40,7 +41,25 @@ class EdgeBlockSpec extends SparkSpec {
       assert(got.groupStart.sameElements(want.groupStart), s"$at: groupStart")
       assert(got.repStart.sameElements(want.repStart), s"$at: repStart")
       assert(got.minPart == want.minPart, s"$at: minPart")
+      got
     }
+    val announced = blocks.flatMap(MasterBlock.announce(_, p)).groupBy(_._1)
+    for (m <- 0 until p) {
+      val in = announced.getOrElse(m, IndexedSeq.empty)
+      // both builds place the messages by sender, whatever their order
+      val got = MasterBlock.build(m, p, in.reverseIterator)
+      val want = ReferenceMasterBlock.build(m, p, in.iterator)
+      val at = s"$clue, p=$p, undirected=$undirected, master block $m"
+      assert(got.id == want.id, at)
+      assert(got.ids.sameElements(want.ids), s"$at: ids")
+      assert(got.outDeg.sameElements(want.outDeg), s"$at: outDeg")
+      assert(got.outRoute.length == p && got.inRoute.length == p, s"$at: routes")
+      for (b <- 0 until p) {
+        assert(got.outRoute(b).sameElements(want.outRoute(b)), s"$at: outRoute($b)")
+        assert(got.inRoute(b).sameElements(want.inRoute(b)), s"$at: inRoute($b)")
+      }
+    }
+  }
 
   private def columns(s: EdgeStream) = (s.src.map(_.toLong), s.dst.map(_.toLong))
 

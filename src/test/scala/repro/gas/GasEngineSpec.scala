@@ -1,5 +1,10 @@
 package repro.gas
 
+import java.util.concurrent.atomic.AtomicInteger
+
+import org.apache.spark.SpecBus
+import org.apache.spark.scheduler.{SparkListener, SparkListenerJobStart}
+import org.apache.spark.sql.DataFrame
 import org.apache.spark.sql.functions._
 import repro.core.{Clugp, EdgeStream, Metrics}
 import repro.partitioners.HashingPartitioner
@@ -153,5 +158,73 @@ class GasEngineSpec extends SparkSpec {
     def labels() = GasEngine.connectedComponents(spark, df)._1.collect()
       .map(r => (r.getLong(0), r.getLong(1))).sorted
     assert(labels().sameElements(labels()))
+  }
+
+  /** `(v, rank)` of every vertex, ascending by `v`. */
+  private def engineRanks(df: DataFrame, iters: Int = 10): Array[(Long, Double)] =
+    GasEngine.pageRank(spark, df, iters).collect().map(r => (r.getLong(0), r.getDouble(1))).sortBy(_._1)
+
+  /** Asserts the engine's ranks equal, bit for bit, those of the loop with
+    * one dangling-mass job per superstep. */
+  private def assertReferenceRanks(df: DataFrame, clue: String): Unit = {
+    val got = engineRanks(df)
+    val want = ReferencePageRank.ranks(spark, df)
+    assert(got.map(_._1).sameElements(want.map(_._1)), s"$clue: vertices")
+    assert(java.util.Arrays.equals(got.map(_._2), want.map(_._2)), s"$clue: ranks")
+  }
+
+  test("pageRank runs the same few Spark jobs at any iteration count") {
+    val (_, df) = assigned(4)
+    val sc = spark.sparkContext
+    def jobs(iters: Int): Int = {
+      val started = new AtomicInteger
+      val listener = new SparkListener {
+        override def onJobStart(e: SparkListenerJobStart): Unit = started.incrementAndGet()
+      }
+      SpecBus.drain(sc)
+      sc.addSparkListener(listener)
+      try {
+        GasEngine.pageRank(spark, df, iters).collect()
+        SpecBus.drain(sc)
+        started.get
+      } finally sc.removeSparkListener(listener)
+    }
+    val (two, twelve) = (jobs(2), jobs(12))
+    assert(two == twelve, s"iters=2 ran $two jobs, iters=12 ran $twelve")
+    assert(twelve <= 4, s"$twelve jobs")
+  }
+
+  test("pageRank ranks are bitwise those of the per-superstep dangling-mass loop") {
+    for ((name, s) <- Seq("tiny" -> TestGraphs.tiny(spark), "tiny-social" -> TestGraphs.tinySocial(spark));
+         k <- Seq(4, 64))
+      assertReferenceRanks(Metrics.assignmentDF(spark, s, Clugp.run(s, k).part), s"$name k=$k")
+  }
+
+  test("pageRank ranks are bitwise the reference's with every edge on one GAS partition") {
+    val s = prefixStream(3000)
+    assert(s.src.distinct.length < s.numVertices, "the graph should have sinks")
+    assertReferenceRanks(Metrics.assignmentDF(spark, s, Array.fill(s.numEdges)(0)), "one partition")
+  }
+
+  test("pageRank ranks are bitwise the reference's with empty master blocks") {
+    // three vertices, all with ids ≡ 0 (mod P): every other master block is empty
+    val p = spark.sparkContext.defaultParallelism.toLong
+    val sparse = spark.createDataFrame(Seq((0L, 0L, p, 0), (1L, 0L, 2 * p, 1), (2L, p, 2 * p, 2)))
+      .toDF("id", "src", "dst", "part")
+    assertReferenceRanks(sparse, "sparse ids")
+    // fewer vertices than P, with a sink
+    val two = EdgeStream.fromPairs(Seq((1L, 2L)))
+    assertReferenceRanks(Metrics.assignmentDF(spark, two, Array(3)), "two vertices")
+  }
+
+  test("pageRank over 60 supersteps sums to 1 and matches the driver reference") {
+    val (s, df) = assigned(4)
+    val ranks = engineRanks(df, iters = 60)
+    assert(math.abs(ranks.map(_._2).sum - 1.0) < 1e-6, s"sum=${ranks.map(_._2).sum}")
+    val ref = GasEngine.pageRankReference(s.src, s.dst, s.numVertices, iters = 60)
+    assert(ranks.map(_._1).sameElements((0 until s.numVertices).map(_.toLong)))
+    ranks.foreach { case (v, r) =>
+      assert(math.abs(r - ref(v.toInt)) < 1e-9, s"v=$v got $r want ${ref(v.toInt)}")
+    }
   }
 }

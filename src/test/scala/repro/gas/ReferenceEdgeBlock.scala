@@ -2,7 +2,7 @@ package repro.gas
 
 import scala.collection.mutable.ArrayBuilder
 
-import repro.Blocks.sortedDistinct
+import repro.Blocks.bySender
 
 /** The reference for [[EdgeBlock.build]]: the sort-and-search layout it
   * replaced, which sorts every endpoint and replica key and binary-searches
@@ -71,4 +71,41 @@ object ReferenceEdgeBlock {
     new EdgeBlock(id, vids, src, rep, reps.flatMap(_.map(_.toInt)), groupStart, repStart, minPart)
   }
 
+  /** Sorts `a` in place; returns its distinct values. */
+  def sortedDistinct(a: Array[Long]): Array[Long] = {
+    java.util.Arrays.sort(a)
+    var n = 0
+    var i = 0
+    while (i < a.length) {
+      if (n == 0 || a(i) != a(n - 1)) { a(n) = a(i); n += 1 }
+      i += 1
+    }
+    java.util.Arrays.copyOf(a, n)
+  }
+}
+
+/** The reference for [[MasterBlock.build]]: the sort-and-search build it
+  * replaced, which sorts every announced vertex id and binary-searches each
+  * route entry. Tests assert the index-based build gives exactly its arrays.
+  */
+object ReferenceMasterBlock {
+  import ReferenceEdgeBlock.sortedDistinct
+
+  /** Builds master block `id` of `p` from the announcements of the edge blocks. */
+  def build(id: Int, p: Int, msgs: Iterator[(Int, (Int, MasterBlock.Announce))]): MasterBlock = {
+    val from = bySender[MasterBlock.Announce](p, msgs)
+    val ids = sortedDistinct(Array.concat(
+      from.filter(_ != null).flatMap(a => Seq(a._1, a._3)).toIndexedSeq: _*))
+    def positions(vs: Array[Long]) = vs.map(java.util.Arrays.binarySearch(ids, _))
+    val outDeg = new Array[Int](ids.length)
+    val outRoute = Array.fill(p)(Array.emptyIntArray)
+    val inRoute = Array.fill(p)(Array.emptyIntArray)
+    for (b <- 0 until p if from(b) != null) {
+      val (sources, deg, _, repIds) = from(b)
+      outRoute(b) = positions(sources)
+      outRoute(b).indices.foreach(i => outDeg(outRoute(b)(i)) += deg(i))
+      inRoute(b) = positions(repIds)
+    }
+    new MasterBlock(id, ids, outDeg, outRoute, inRoute)
+  }
 }
