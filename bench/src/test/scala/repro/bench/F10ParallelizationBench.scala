@@ -16,7 +16,7 @@ class F10ParallelizationBench extends SparkSpec {
     * edges, of all the ids pass 1 allocates. */
   private lazy val players: String = {
     val s = BenchData.stream(spark, "it-lite")
-    val cg = ClusterGraph.build(s, StreamingClustering.cluster(s, s.numEdges.toLong / 64))
+    val cg = ClusterGraph.build(s, StreamingClustering.cluster(s, ClugpConfig().vMax(s.numEdges, 64)))
     s"${(0 until cg.numClusters).count(cg.isPlayer)}/${cg.numClusters}"
   }
 
@@ -30,7 +30,9 @@ class F10ParallelizationBench extends SparkSpec {
 
   test("Fig 10a: game time vs number of threads") {
     val batch = 6400
-    val rows = for (t <- Seq(1, 2, 4, 8, 16)) yield {
+    // more threads than cores only queue behind each other
+    val threads = Seq(1, 2, 4, 8, 16).filter(_ <= nproc)
+    val rows = for (t <- threads) yield {
       val (ms, rf) = gameTime(t, batch)
       Seq(t.toString, ms.toString, f"$rf%.3f", players, nproc.toString)
     }
@@ -39,7 +41,8 @@ class F10ParallelizationBench extends SparkSpec {
     val t = rows.map(r => r(0).toInt -> r(1).toLong).toMap
     // more threads should not be slower overall (paper: good speedup);
     // allow generous noise at millisecond scales
-    assert(t(8) <= t(1) * 1.2 + 50, s"8 threads ${t(8)}ms vs 1 thread ${t(1)}ms")
+    assert(t(threads.max) <= t(1) * 1.2 + 50,
+      s"${threads.max} threads ${t(threads.max)}ms vs 1 thread ${t(1)}ms")
     // quality is thread-count independent (deterministic batch games)
     assert(rows.map(_(2)).distinct.length == 1)
   }

@@ -1,8 +1,7 @@
 package repro.bench
 
 import repro.SparkSpec
-import repro.core.Metrics
-import repro.gas.{GasTopology, NetworkModel, VertexCutGraph}
+import repro.gas.{GasTopology, NetworkModel}
 
 /** Paper Fig. 4 — Twitter (social graph): (a) RF of CLUGP is slightly
   * above HDRF's (the framework targets web graphs), but (b) total task
@@ -28,15 +27,11 @@ class F4SocialGraphBench extends SparkSpec {
   }
 
   test("Fig 4b: total task runtime (partitioning + modelled PageRank)") {
-    val s = BenchData.stream(spark, "twitter-lite")
     val iters = 10
     val model = NetworkModel(rttSeconds = 0.010)
     val rows = for (k <- BenchData.KSweep; r <- BenchData.runAll(spark, "twitter-lite", k))
       yield {
-        val mirrors = r.mirrors
-        val topo = GasTopology(k, s.degrees.count(_ > 0).toLong,
-          mirrors + s.degrees.count(_ > 0), mirrors, r.partitionSizes)
-        val prSec = model.runSeconds(topo, iters)
+        val prSec = model.runSeconds(GasTopology.of(r.quality), iters)
         Seq(k.toString, r.algo, (r.timeMs / 1000.0).toString.take(6), f"$prSec%.2f",
           f"${r.timeMs / 1000.0 + prSec}%.2f")
       }

@@ -4,7 +4,7 @@ import org.apache.spark.sql.functions._
 import repro.SparkSpec
 import repro.core.Metrics
 import repro.exp.Runner
-import repro.gas.{GasEngine, NetworkModel, VertexCutGraph}
+import repro.gas.{GasEngine, GasTopology, NetworkModel}
 
 /** Paper Fig. 8 — PageRank on the real system (PowerGraph, 32 nodes):
   * (a) communication and (b) computation cost per partitioner — CLUGP
@@ -25,10 +25,7 @@ class F8RealSystemBench extends SparkSpec {
 
   private lazy val topos = Runner.allAlgorithms().map { a =>
     val r = BenchData.run(spark, ds, a, k)
-    val s = BenchData.stream(spark, ds)
-    val masters = s.degrees.count(_ > 0).toLong
-    (r.algo, repro.gas.GasTopology(k, masters, masters + r.mirrors, r.mirrors,
-      r.partitionSizes))
+    (r.algo, GasTopology.of(r.quality))
   }
 
   test("Fig 8ab: per-iteration computation and communication cost") {

@@ -8,7 +8,7 @@ import repro.WebGraphs
 import repro.WebGraphs.GraphSpec
 import repro.core._
 import repro.exp.{RunResult, Runner}
-import repro.gas.{GasEngine, NetworkModel, VertexCutGraph}
+import repro.gas.{GasEngine, GasTopology, NetworkModel}
 import repro.partitioners.StreamingPartitioner
 
 /** spark-submit entrypoint: generates one synthetic dataset, reads it as
@@ -107,9 +107,9 @@ object Main {
 
   private def pageRank(spark: SparkSession, spec: GraphSpec, stream: EdgeStream,
                        k: Int, iters: Int, rttMs: Double): Unit = {
-    val assigned = Metrics.assignmentDF(spark, stream, Clugp.run(stream, k).part)
-    val topo  = VertexCutGraph.topology(assigned, k)
-    val ranks = GasEngine.pageRank(spark, assigned, iters)
+    val part  = Clugp.run(stream, k).part
+    val topo  = GasTopology.of(Metrics.evaluate(stream, part, k))
+    val ranks = GasEngine.pageRank(spark, Metrics.assignmentDF(spark, stream, part), iters)
     val top = ranks.orderBy(desc("rank")).limit(5).collect()
     val model = NetworkModel(rttSeconds = rttMs / 1000.0)
     val (comp, comm) = model.split(topo)
@@ -133,9 +133,9 @@ object Main {
     println(s"graph: |V|=${stream.numVertices} |E|=${stream.numEdges} maxDeg=${stream.degrees.max} " +
       f"intraHost=${intraHost * 100.0 / stream.numEdges}%.1f%%")
 
-    val vMax = stream.numEdges.toLong / k
+    val cfg = ClugpConfig()
     for (split <- Seq(true, false)) {
-      val cl = StreamingClustering.cluster(stream, vMax, split)
+      val cl = StreamingClustering.cluster(stream, cfg.vMax(stream.numEdges, k), split)
       val cg = ClusterGraph.build(stream, cl)
       val occ = cl.numOccupiedClusters
       val intraKept = stream.src.indices.count(i =>
@@ -151,19 +151,19 @@ object Main {
     // ablation variants themselves are `partition <dataset> <ks> ablation`
     for (kk <- Seq(16, 64, 256)) {
       def rfScrubbed: Double = {
-        val cl0 = StreamingClustering.cluster(stream, stream.numEdges.toLong / kk, splitting = true)
+        val cl0 = StreamingClustering.cluster(stream, cfg.vMax(stream.numEdges, kk), splitting = true)
         val cl = cl0.copy(divided = new Array[Boolean](stream.numVertices),
                           mirrorStart = new Array[Int](stream.numVertices + 1),
                           mirrorIds = Array.emptyIntArray)
         val cg0 = ClusterGraph.build(stream, cl)
-        val placed = ClusterPartitioning.parallelGame(cg0, kk, cg0.lambdaMax(kk))
+        val placed = ClusterPartitioning.parallelGame(cg0, kk, cfg.lambda(cg0.lambdaMax(kk)))
         val part = PartitionTransformation.transform(stream, cl, placed.assignment, kk, 1.0)
         Metrics.evaluate(stream, part, kk).replicationFactor
       }
       def partCut(split: Boolean): Double = {
-        val cl = StreamingClustering.cluster(stream, stream.numEdges.toLong / kk, split)
+        val cl = StreamingClustering.cluster(stream, cfg.vMax(stream.numEdges, kk), split)
         val cg0 = ClusterGraph.build(stream, cl)
-        val placed = ClusterPartitioning.parallelGame(cg0, kk, cg0.lambdaMax(kk))
+        val placed = ClusterPartitioning.parallelGame(cg0, kk, cfg.lambda(cg0.lambdaMax(kk)))
         val a = placed.assignment
         stream.src.indices.count(i =>
           a(cl.clu(stream.src(i))) != a(cl.clu(stream.dst(i)))).toDouble / stream.numEdges

@@ -1,5 +1,6 @@
 package repro.core
 
+import org.apache.spark.Partitioner
 import org.apache.spark.sql.{DataFrame, SparkSession}
 import org.apache.spark.sql.functions._
 import repro.partitioners.{PartitionAssignment, StreamingPartitioner}
@@ -33,7 +34,13 @@ final case class ClugpConfig(
     weight: Double = 0.5,
     vMaxFactor: Double = 1.0,
     init: InitStrategy = RangeInit,
-    seed: Long = 17)
+    seed: Long = 17) {
+  /** Maximum cluster volume V_max of `numEdges` edges into k partitions:
+    * vMaxFactor·|E|/k, at least 2. */
+  def vMax(numEdges: Long, k: Int): Long = math.max(2L, (vMaxFactor * numEdges / k).toLong)
+  /** Weight λ of the game's load term: λ_max·w/(1−w). */
+  def lambda(lambdaMax: Double): Double = lambdaMax * (weight / (1.0 - weight))
+}
 
 /** Per-pass timing and sizes of one CLUGP run, for the scalability and
   * parallelization experiments (Figs. 7 and 10). */
@@ -59,13 +66,12 @@ final class Clugp(cfg: ClugpConfig = ClugpConfig()) extends StreamingPartitioner
   override def partition(stream: EdgeStream, k: Int): PartitionAssignment = {
     require(k >= 1, s"number of partitions must be >= 1, got $k")
     val t0 = System.nanoTime()
-    val vMax = math.max(2L, (cfg.vMaxFactor * stream.numEdges / k).toLong)
     // pass 1: streaming clustering
-    val clustering = StreamingClustering.cluster(stream, vMax, cfg.splitting)
+    val clustering = StreamingClustering.cluster(stream, cfg.vMax(stream.numEdges, k), cfg.splitting)
     val t1 = System.nanoTime()
     // pass 2: cluster partitioning game (on the cluster multigraph)
     val cg = ClusterGraph.build(stream, clustering)
-    val lambda = cg.lambdaMax(k) * (cfg.weight / (1.0 - cfg.weight))
+    val lambda = cfg.lambda(cg.lambdaMax(k))
     val placed = cfg.gameMode match {
       case ParallelGame(b, t) => ClusterPartitioning.parallelGame(cg, k, lambda, b, t, cfg.seed, init = cfg.init)
       case GreedyPlacement    => ClusterPartitioning.greedy(cg, k)
@@ -96,9 +102,13 @@ object Clugp {
     * partitioning is the union of the per-node results.
     *
     * Implemented at the RDD layer: the stream is range-partitioned into
-    * `numSlices` contiguous slices (preserving BFS order within a slice),
-    * `mapPartitions` runs the full local pipeline per slice against the
-    * same k logical partitions, and the per-edge assignments are unioned.
+    * `numSlices` contiguous slices of `(src, id)` (preserving BFS order
+    * within a slice), `mapPartitions` runs the full local pipeline per
+    * slice against the same k logical partitions, and the per-edge
+    * assignments are unioned. The slice bounds come from every 256th key
+    * of each input partition, so every call on the same input cuts the
+    * same slices (Spark's `RangePartitioner` seeds its sample with the
+    * RDD's id, which differs per call).
     *
     * @param edges DataFrame `(src: Long, dst: Long, id: Long)` from
     *              [[repro.SynthData.webGraph]]
@@ -107,14 +117,20 @@ object Clugp {
   def partitionDistributed(spark: SparkSession, edges: DataFrame, k: Int,
                            cfg: ClugpConfig = ClugpConfig(),
                            numSlices: Int = 8): DataFrame = {
+    require(numSlices >= 1, s"number of slices must be >= 1, got $numSlices")
     import spark.implicits._
-    val ordered = edges.select($"src", $"dst", $"id")
+    val keyed = edges.select($"src", $"dst", $"id")
       .as[(Long, Long, Long)].rdd
       .map { case (s, d, i) => ((s, i), (s, d, i)) }
-      .repartitionAndSortWithinPartitions(
-        new org.apache.spark.RangePartitioner(numSlices,
-          edges.select($"src", $"id").as[(Long, Long)].rdd.map(t => (t, ()))))
-      .values
+    val sample = keyed.mapPartitions(_.grouped(256).map(_.head._1)).collect().sorted
+    val bounds = if (sample.isEmpty) Array.empty[(Long, Long)]
+                 else Array.tabulate(numSlices - 1)(j => sample((j + 1) * sample.length / numSlices))
+    val order = Ordering[(Long, Long)]
+    val slices = new Partitioner { // a key's slice is the number of bounds below it
+      def numPartitions: Int = numSlices
+      def getPartition(key: Any): Int = bounds.count(order.lt(_, key.asInstanceOf[(Long, Long)]))
+    }
+    val ordered = keyed.repartitionAndSortWithinPartitions(slices).values
     val assigned = ordered.mapPartitions { it =>
       val buf = it.toArray
       if (buf.isEmpty) Iterator.empty

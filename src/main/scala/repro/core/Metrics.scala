@@ -4,7 +4,7 @@ import org.apache.spark.sql.{DataFrame, Row, SparkSession}
 import org.apache.spark.sql.functions._
 import org.apache.spark.sql.types.{IntegerType, LongType, StructField, StructType}
 
-/** Partition-quality metrics of paper §II-B.
+/** Partition-quality metrics of paper §II-B, the one summary of a placement.
   *
   * @param replicationFactor `1/|V| Σ_v |P(v)|` — average number of
   *        partitions holding each vertex (1.0 = no replicas)
@@ -12,15 +12,49 @@ import org.apache.spark.sql.types.{IntegerType, LongType, StructField, StructTyp
   * @param partitionSizes  edges per partition
   * @param numReplicas     Σ_v (|P(v)| − 1) — mirror count, the per-iteration
   *        synchronization message unit of the GAS engine
+  * @param vertices        vertices with at least one edge — the |V| of the
+  *        replication factor, one master each
   */
 final case class PartitionQuality(
     replicationFactor: Double,
     relativeBalance: Double,
     partitionSizes: Array[Long],
-    numReplicas: Long) {
+    numReplicas: Long,
+    vertices: Long) {
   override def toString: String =
     f"PartitionQuality(rf=$replicationFactor%.4f, balance=$relativeBalance%.4f, " +
-      s"mirrors=$numReplicas, k=${partitionSizes.length})"
+      s"mirrors=$numReplicas, vertices=$vertices, k=${partitionSizes.length})"
+}
+
+/** Per-vertex partition sets `A(v) ⊆ P`, one packed bitset of ⌈k/64⌉ words
+  * per vertex: the replica table the Greedy and HDRF partitioners consult
+  * per edge (the global state the paper's §I names as their bottleneck),
+  * and [[Metrics.evaluate]]'s replica count. [[spaceBytes]] models the VGP
+  * reference implementations the paper measured (a `HashSet<Integer>` per
+  * vertex, ≈48 B per replica entry plus per-vertex overhead), where Fig. 6's
+  * 8–10× heuristic-over-CLUGP gap comes from (DESIGN.md §3). */
+private[repro] final class ReplicaTable(nV: Int, k: Int) {
+  private val words = (k + 63) / 64
+  require(nV.toLong * words <= Int.MaxValue - 8, // the longest array the JVM allocates
+    s"replica table for |V| = $nV and k = $k needs ${nV.toLong * words} words, more than an array holds")
+  private val bits = new Array[Long](nV * words)
+  private var held = 0L
+
+  @inline def contains(v: Int, p: Int): Boolean =
+    (bits(v * words + (p >> 6)) & (1L << (p & 63))) != 0
+  @inline def add(v: Int, p: Int): Unit = {
+    val idx = v * words + (p >> 6); val m = 1L << (p & 63)
+    if ((bits(idx) & m) == 0) { bits(idx) |= m; held += 1 }
+  }
+  @inline def isEmpty(v: Int): Boolean = {
+    var w = 0
+    while (w < words) { if (bits(v * words + w) != 0) return false; w += 1 }
+    true
+  }
+  /** Σ_v |A(v)|, the replicas held. */
+  def entries: Long = held
+  /** Bytes of state of the VGP-style table — Fig. 6's space metric. */
+  def spaceBytes: Long = 48L * held + 16L * nV
 }
 
 /** Metric computations over an edge→partition assignment. */
@@ -30,32 +64,29 @@ object Metrics {
   def evaluate(stream: EdgeStream, part: Array[Int], k: Int): PartitionQuality = {
     require(part.length == stream.numEdges, "assignment length != |E|")
     val nV = stream.numVertices
-    // per-vertex partition sets as bitsets: k ≤ 64 → one Long, else words
-    val words = (k + 63) / 64
-    val bits = new Array[Long](nV * words)
+    val held = new ReplicaTable(nV, k)
     val sizes = new Array[Long](k)
-    @inline def mark(v: Int, p: Int): Unit = {
-      bits(v * words + (p >> 6)) |= (1L << (p & 63))
-    }
     var i = 0
     while (i < part.length) {
       val p = part(i)
       require(p >= 0 && p < k, s"edge $i assigned to invalid partition $p")
-      mark(stream.src(i), p); mark(stream.dst(i), p)
+      held.add(stream.src(i), p); held.add(stream.dst(i), p)
       sizes(p) += 1
       i += 1
     }
-    var seen = 0L; var replicas = 0L
+    var seen = 0L
     var v = 0
-    while (v < nV) {
-      var cnt = 0; var w = 0
-      while (w < words) { cnt += java.lang.Long.bitCount(bits(v * words + w)); w += 1 }
-      if (cnt > 0) { seen += 1; replicas += cnt }
-      v += 1
-    }
-    val rf  = if (seen == 0) 0.0 else replicas.toDouble / seen
-    val bal = if (stream.numEdges == 0) 1.0 else k.toDouble * sizes.max / stream.numEdges
-    PartitionQuality(rf, bal, sizes, replicas - seen)
+    while (v < nV) { if (!held.isEmpty(v)) seen += 1; v += 1 }
+    quality(sizes, seen, held.entries)
+  }
+
+  /** The quality of a placement with `sizes` edges per partition and
+    * `vertices` vertices with an edge, holding `replicas` = Σ_v |P(v)|. */
+  private[repro] def quality(sizes: Array[Long], vertices: Long, replicas: Long): PartitionQuality = {
+    val edges = sizes.sum
+    val rf  = if (vertices == 0) 0.0 else replicas.toDouble / vertices
+    val bal = if (edges == 0) 1.0 else sizes.length.toDouble * sizes.max / edges
+    PartitionQuality(rf, bal, sizes, replicas - vertices, vertices)
   }
 
   /** DataFrame `(id, src, dst, part)` from a stream + assignment, the
@@ -83,18 +114,22 @@ object Metrics {
     StructField("dst", LongType, nullable = false),
     StructField("part", IntegerType, nullable = false)))
 
-  /** Replication factor computed with the DataFrame API (Catalyst path);
-    * cross-checked against DuckDB in the test suite. One row:
-    * `(rf double, vertices long, replicas long)`. */
-  def replicationFactorDF(assigned: DataFrame): DataFrame = {
-    val verts = assigned.select(col("src") as "v", col("part"))
+  /** The replica set `(v, part)` of an assignment `(id, src, dst, part)`:
+    * one row per vertex and partition holding one of its edges. */
+  private[repro] def replicaSet(assigned: DataFrame): DataFrame =
+    assigned.select(col("src") as "v", col("part"))
       .union(assigned.select(col("dst") as "v", col("part")))
       .distinct()
-    verts.groupBy(col("v")).agg(countDistinct(col("part")) as "np")
+
+  /** Replication factor computed with the DataFrame API (Catalyst path);
+    * cross-checked against DuckDB in the test suite. One row:
+    * `(rf double, vertices long, replicas long)`; on an empty assignment
+    * `rf` and `replicas` are null. */
+  def replicationFactorDF(assigned: DataFrame): DataFrame =
+    replicaSet(assigned).groupBy(col("v")).agg(count(lit(1)) as "np")
       .agg(avg(col("np")) as "rf",
            count(lit(1)) as "vertices",
            sum(col("np")) as "replicas")
-  }
 
   /** Per-partition edge counts via the DataFrame API:
     * `(part, edges)` sorted by partition. */

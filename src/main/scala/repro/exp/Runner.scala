@@ -6,8 +6,11 @@ import repro.partitioners._
 /** One partitioning run's measurements — a row of the experiment tables. */
 final case class RunResult(
     dataset: String, algo: String, k: Int,
-    rf: Double, balance: Double, timeMs: Long, spaceBytes: Long,
-    mirrors: Long, partitionSizes: Array[Long]) {
+    quality: PartitionQuality, timeMs: Long, spaceBytes: Long) {
+  def rf: Double = quality.replicationFactor
+  def balance: Double = quality.relativeBalance
+  def mirrors: Long = quality.numReplicas
+  def partitionSizes: Array[Long] = quality.partitionSizes
   def row: Seq[String] = Seq(dataset, algo, k.toString, f"$rf%.3f",
     f"$balance%.3f", timeMs.toString, spaceBytes.toString)
 }
@@ -45,9 +48,7 @@ object Runner {
           k: Int, shuffleSeed: Long = 99): RunResult = {
     val s = if (algo.preferredOrder == "bfs") stream else stream.shuffled(shuffleSeed)
     val a = algo.partition(s, k)
-    val q = Metrics.evaluate(s, a.part, k)
-    RunResult(dataset, algo.name, k, q.replicationFactor, q.relativeBalance,
-      a.timeMs, a.spaceBytes, q.numReplicas, q.partitionSizes)
+    RunResult(dataset, algo.name, k, Metrics.evaluate(s, a.part, k), a.timeMs, a.spaceBytes)
   }
 
   /** Render an aligned text table (what each bench prints). */

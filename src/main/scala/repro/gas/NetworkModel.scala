@@ -28,9 +28,7 @@ final case class NetworkModel(
 
   /** Seconds of one GAS iteration over the given topology. */
   def iterationSeconds(topo: GasTopology): Double =
-    topo.maxEdges / edgeRate +
-      topo.messagesPerIteration / msgRate +
-      syncRoundsPerIter * rttSeconds
+    split(topo) match { case (compute, communication) => compute + communication }
 
   /** Seconds of a full run of `iters` iterations. */
   def runSeconds(topo: GasTopology, iters: Int): Double =

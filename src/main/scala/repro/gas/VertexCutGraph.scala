@@ -2,6 +2,7 @@ package repro.gas
 
 import org.apache.spark.sql.{DataFrame, SparkSession}
 import org.apache.spark.sql.functions._
+import repro.core.{Metrics, PartitionQuality}
 
 /** Master/mirror topology of a vertex-cut placement — what PowerGraph
   * materializes after loading a partitioned graph.
@@ -30,28 +31,31 @@ final case class GasTopology(
   def messagesPerIteration: Long = 2L * mirrors
 }
 
+object GasTopology {
+  /** The topology a placement summary implies: one master per vertex with
+    * an edge, one replica per (vertex, holding partition), the rest mirrors. */
+  def of(q: PartitionQuality): GasTopology =
+    GasTopology(q.partitionSizes.length, q.vertices, q.vertices + q.numReplicas,
+      q.numReplicas, q.partitionSizes)
+}
+
 /** Builds the master/mirror topology from an edge→partition assignment. */
 object VertexCutGraph {
 
-  /** @param assigned DataFrame `(id, src, dst, part)` */
+  /** [[GasTopology.of]] the quality counted by the DataFrame metrics.
+    * @param assigned DataFrame `(id, src, dst, part)` */
   def topology(assigned: DataFrame, k: Int): GasTopology = {
-    val replicasDf = assigned.select(col("src") as "v", col("part"))
-      .union(assigned.select(col("dst") as "v", col("part")))
-      .distinct()
-    val replicas = replicasDf.count()
-    val masters  = replicasDf.select("v").distinct().count()
-    val sizes    = assigned.groupBy("part").agg(count(lit(1)) as "edges")
-      .collect().map(r => (r.getInt(0), r.getLong(1))).toMap
-    GasTopology(k, masters, replicas, replicas - masters,
-      Array.tabulate(k)(p => sizes.getOrElse(p, 0L)))
+    val counts = Metrics.replicationFactorDF(assigned).collect()(0)
+    val replicas = if (counts.isNullAt(2)) 0L else counts.getLong(2)
+    val sizes = new Array[Long](k)
+    for (r <- Metrics.partitionSizesDF(assigned).collect()) sizes(r.getInt(0)) = r.getLong(1)
+    GasTopology.of(Metrics.quality(sizes, counts.getLong(1), replicas))
   }
 
   /** The replica table `(v, part, isMaster)`; PowerGraph designates the
     * lowest-numbered holding partition as the master. */
   def replicaTable(spark: SparkSession, assigned: DataFrame): DataFrame = {
-    val reps = assigned.select(col("src") as "v", col("part"))
-      .union(assigned.select(col("dst") as "v", col("part")))
-      .distinct()
+    val reps = Metrics.replicaSet(assigned)
     val masters = reps.groupBy("v").agg(min("part") as "masterPart")
     reps.join(masters, "v")
       .select(col("v"), col("part"), (col("part") === col("masterPart")) as "isMaster")

@@ -1,37 +1,6 @@
 package repro.partitioners
 
-import repro.core.EdgeStream
-
-/** Per-vertex replica table `A(v) ⊆ P` — the global state heuristic
-  * partitioners must consult and lock per edge, which is exactly the
-  * scalability bottleneck the paper attacks (§I).
-  *
-  * Storage here is a packed bitset for speed, but [[spaceBytes]] models
-  * the *reference implementations* the paper measured (VGP keeps a
-  * `HashSet<Integer>` of partitions per vertex, ≈48 B per replica entry
-  * plus per-vertex object overhead) — Fig. 6's 8–10× heuristic-over-
-  * CLUGP gap is a property of that comparator, which is closed to us
-  * only as measurements, so we reproduce its footprint (DESIGN.md §3).
-  */
-private[partitioners] final class ReplicaTable(nV: Int, k: Int) {
-  private val words = (k + 63) / 64
-  private val bits  = new Array[Long](nV.toLong.toInt * words)
-  private var entries = 0L
-
-  @inline def contains(v: Int, p: Int): Boolean =
-    (bits(v * words + (p >> 6)) & (1L << (p & 63))) != 0
-  @inline def add(v: Int, p: Int): Unit = {
-    val idx = v * words + (p >> 6); val m = 1L << (p & 63)
-    if ((bits(idx) & m) == 0) { bits(idx) |= m; entries += 1 }
-  }
-  @inline def isEmpty(v: Int): Boolean = {
-    var w = 0
-    while (w < words) { if (bits(v * words + w) != 0) return false; w += 1 }
-    true
-  }
-  /** Bytes of state of the VGP-style table — Fig. 6's space metric. */
-  def spaceBytes: Long = 48L * entries + 16L * nV
-}
+import repro.core.{EdgeStream, ReplicaTable}
 
 /** PowerGraph's Greedy heuristic (the paper's "Greedy"): place each edge
   * to minimize new replicas, tie-broken by load, under a hard capacity

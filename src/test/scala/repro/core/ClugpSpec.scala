@@ -129,4 +129,28 @@ class ClugpSpec extends SparkSpec {
       assert(e.getMessage.contains(s"got $k"), e.getMessage)
     }
   }
+
+  test("distributed mode gives the same assignment on every call") {
+    val df = WebGraphs.Tiny.df(spark)
+    def pairs = Clugp.partitionDistributed(spark, df, 8, numSlices = 4)
+      .select("id", "part").collect().map(r => (r.getLong(0), r.getInt(1))).sorted.toSeq
+    val first = pairs
+    assert(pairs == first)
+  }
+
+  test("distributed mode needs at least one slice") {
+    val e = intercept[IllegalArgumentException] {
+      Clugp.partitionDistributed(spark, WebGraphs.Tiny.df(spark), 8, numSlices = 0)
+    }
+    assert(e.getMessage.contains("got 0"), e.getMessage)
+  }
+
+  test("V_max and lambda derive from the configuration") {
+    val cfg = ClugpConfig()
+    assert(cfg.vMax(361000, 256) == 361000L / 256)
+    assert(cfg.vMax(10, 64) == 2)
+    assert(ClugpConfig(vMaxFactor = 2.0).vMax(6400, 64) == 200)
+    assert(cfg.lambda(0.25) == 0.25)
+    assert(ClugpConfig(weight = 0.75).lambda(0.25) == 0.75)
+  }
 }

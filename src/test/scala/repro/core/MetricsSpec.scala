@@ -96,4 +96,27 @@ class MetricsSpec extends SparkSpec {
         |) GROUP BY part ORDER BY part""".stripMargin,
       "assigned" -> df)
   }
+
+  test("PartitionQuality.vertices counts only vertices that have an edge") {
+    // a prefix of Tiny keeps all of Tiny's labels, most without an edge
+    val s = TestGraphs.tiny(spark).take(500)
+    val withEdge = (s.src ++ s.dst).distinct.length
+    assert(withEdge < s.numVertices)
+    val part = Array.tabulate(s.numEdges)(_ % 3)
+    val q = Metrics.evaluate(s, part, 3)
+    assert(q.vertices == withEdge)
+    assert(q.replicationFactor == (q.numReplicas + withEdge).toDouble / withEdge)
+  }
+
+  test("the replica table rejects a size past the array limit before allocating") {
+    // 2^30 vertices × 4 words: the Int product wraps to 0, a silent empty table
+    val e = intercept[IllegalArgumentException] { new ReplicaTable(1 << 30, 256) }
+    assert(e.getMessage.contains("|V| = 1073741824") && e.getMessage.contains("k = 256"),
+      e.getMessage)
+    intercept[IllegalArgumentException] { new ReplicaTable(Int.MaxValue, 65) }
+    val t = new ReplicaTable(3, 130)
+    t.add(2, 129); t.add(2, 129); t.add(2, 0)
+    assert(t.contains(2, 129) && t.contains(2, 0) && !t.contains(1, 129))
+    assert(t.entries == 2 && t.isEmpty(0) && !t.isEmpty(2))
+  }
 }

@@ -69,4 +69,34 @@ class VertexCutGraphSpec extends SparkSpec {
     assert(topo.edgesPerPartition.toSeq == Seq(1L, 0L, 0L, 0L))
     assert(topo.mirrors == 0)
   }
+
+  test("GasTopology.of a driver-side quality equals the DataFrame topology") {
+    // a prefix keeps the full stream's labels, so some have no edge; at
+    // k = 100 each vertex's partition set spans two bitset words
+    val s = TestGraphs.tiny(spark).take(4000)
+    assert(s.degrees.count(_ > 0) < s.numVertices)
+    for (k <- Seq(4, 100)) {
+      val part = Array.tabulate(s.numEdges)(i => (s.src(i) * 31 + i / 7) % k)
+      val driver = GasTopology.of(Metrics.evaluate(s, part, k))
+      val df = VertexCutGraph.topology(Metrics.assignmentDF(spark, s, part), k)
+      assert(driver.k == k && df.k == k)
+      assert(driver.masters == df.masters && driver.masters == s.degrees.count(_ > 0))
+      assert(driver.replicas == df.replicas)
+      assert(driver.mirrors == df.mirrors && driver.mirrors > 0)
+      assert(driver.edgesPerPartition.toSeq == df.edgesPerPartition.toSeq)
+    }
+  }
+
+  test("an empty assignment has an all-zero topology over k empty partitions") {
+    val s = EdgeStream.fromPairs(Seq((1L, 2L))).take(0)
+    val k = 5
+    val q = Metrics.evaluate(s, Array.emptyIntArray, k)
+    for (topo <- Seq(GasTopology.of(q),
+                     VertexCutGraph.topology(Metrics.assignmentDF(spark, s, Array.emptyIntArray), k))) {
+      assert(topo.k == k)
+      assert(topo.masters == 0 && topo.replicas == 0 && topo.mirrors == 0)
+      assert(topo.edgesPerPartition.toSeq == Seq.fill(k)(0L))
+      assert(topo.maxEdges == 0 && topo.messagesPerIteration == 0)
+    }
+  }
 }
