@@ -48,11 +48,12 @@ class F10ParallelizationBench extends SparkSpec {
   }
 
   test("Fig 10b: game time vs batch size") {
+    val threads = math.min(8, nproc)
     val rows = for (b <- Seq(800, 3200, 6400, 25600)) yield {
-      val (ms, rf) = gameTime(8, b)
+      val (ms, rf) = gameTime(threads, b)
       Seq(b.toString, ms.toString, f"$rf%.3f", players, nproc.toString)
     }
-    BenchData.emit("F10b game time vs batch size (it-lite, k=64, 8 threads)",
+    BenchData.emit(s"F10b game time vs batch size (it-lite, k=64, $threads threads)",
       Seq("batch", "game_ms", "rf", "players", "nproc"), rows)
     // runtime stays within a small factor across a 32× batch range
     val times = rows.map(_(1).toLong)

@@ -123,12 +123,11 @@ object Main {
     * clustering without its divided-vertex information, and the game ×
     * init × weight grid, to tune the reproduction's parameters. */
   private def diag(spark: SparkSession, spec: GraphSpec, stream: EdgeStream, k: Int): Unit = {
-    // whether each edge, in stream order (by (src, id)), stays within its
-    // source's host block of the generator's 1-based ids
-    val intraHostEdge: Array[Boolean] = spec.df(spark).select("src", "dst", "id").collect()
-      .map(r => (r.getLong(0), r.getLong(1), r.getLong(2)))
-      .sortBy(t => (t._1, t._3))
-      .map { case (s, d, _) => (s - 1) / spec.hostSize == (d - 1) / spec.hostSize }
+    // whether each edge, in stream order, stays within its source's host
+    // block of the generator's 1-based ids
+    val raw = EdgeStream.readSorted(spec.df(spark))
+    val intraHostEdge = Array.tabulate(raw.size)(e =>
+      (raw.src(e) - 1) / spec.hostSize == (raw.dst(e) - 1) / spec.hostSize)
     val intraHost = intraHostEdge.count(identity)
     println(s"graph: |V|=${stream.numVertices} |E|=${stream.numEdges} maxDeg=${stream.degrees.max} " +
       f"intraHost=${intraHost * 100.0 / stream.numEdges}%.1f%%")

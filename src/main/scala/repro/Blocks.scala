@@ -1,11 +1,36 @@
 package repro
 
+import scala.collection.mutable.ArrayBuilder
 import scala.reflect.ClassTag
+
+import org.apache.spark.rdd.RDD
+import org.apache.spark.sql.DataFrame
+import org.apache.spark.sql.classic.ClassicConversions.castToImpl
 
 /** Primitive-array helpers shared by the jobs that ship arrays between
   * blocks: the generator's dedup blocks, the stream build and the GAS
   * engine's edge and master blocks. */
 private[repro] object Blocks {
+
+  /** The `names` columns of `df` cast to long, one primitive array each per
+    * partition, read from `InternalRow`s, never `Row`s, with the first
+    * column the partition saw null (read as 0): the one way DataFrame edges
+    * become arrays. */
+  def readLongs(df: DataFrame, names: Seq[String]): RDD[(Array[Array[Long]], Option[String])] =
+    castToImpl(df.select(names.map(df(_).cast("long")): _*)).queryExecution.toRdd.mapPartitions { it =>
+      val columns = Array.fill(names.length)(new ArrayBuilder.ofLong)
+      var nullColumn = Option.empty[String]
+      it.foreach { r =>
+        if (nullColumn.isEmpty && r.anyNull) nullColumn = names.indices.find(r.isNullAt).map(names)
+        var c = 0
+        while (c < columns.length) { columns(c).addOne(r.getLong(c)); c += 1 }
+      }
+      Iterator((columns.map(_.result()), nullColumn))
+    }
+
+  /** @throws IllegalArgumentException naming the first of `nullColumns` */
+  def requireNoNull(nullColumns: Iterable[Option[String]]): Unit =
+    nullColumns.flatten.headOption.foreach(c => throw new IllegalArgumentException(s"edge column $c holds a null"))
 
   /** Messages `(to, (from, payload))` placed by sender block id, so every
     * fold over them runs in sender order, whatever the fetch order. */

@@ -1,8 +1,6 @@
 package repro.core
 
-import org.apache.spark.Partitioner
-import org.apache.spark.sql.{DataFrame, SparkSession}
-import org.apache.spark.sql.functions._
+import org.apache.spark.sql.{DataFrame, Row, SparkSession}
 import repro.partitioners.{PartitionAssignment, StreamingPartitioner}
 
 /** How pass 2 maps clusters to partitions. */
@@ -101,46 +99,27 @@ object Clugp {
     * the three passes over its slice of the edge stream, and the final
     * partitioning is the union of the per-node results.
     *
-    * Implemented at the RDD layer: the stream is range-partitioned into
-    * `numSlices` contiguous slices of `(src, id)` (preserving BFS order
-    * within a slice), `mapPartitions` runs the full local pipeline per
-    * slice against the same k logical partitions, and the per-edge
-    * assignments are unioned. The slice bounds come from every 256th key
-    * of each input partition, so every call on the same input cuts the
-    * same slices (Spark's `RangePartitioner` seeds its sample with the
-    * RDD's id, which differs per call).
+    * Implemented at the RDD layer: [[EdgeStream.slices]] reads, sorts,
+    * merges and relabels as [[EdgeStream.fromDF]] does, into `numSlices`
+    * contiguous `(src, id)` slices in BFS order, the same on every call;
+    * each slice runs the full local pipeline against the same k logical
+    * partitions, and the per-edge assignments are unioned.
     *
-    * @param edges DataFrame `(src: Long, dst: Long, id: Long)` from
+    * @param edges DataFrame `(src, dst, id)` from
     *              [[repro.SynthData.webGraph]]
-    * @return DataFrame `(id, src, dst, part)`
+    * @return DataFrame `(id, src, dst, part)`, as [[Metrics.assignmentDF]]
+    * @throws IllegalArgumentException if `k` or `numSlices` is below 1, or
+    *         a `src`, `dst` or `id` is null
     */
   def partitionDistributed(spark: SparkSession, edges: DataFrame, k: Int,
                            cfg: ClugpConfig = ClugpConfig(),
                            numSlices: Int = 8): DataFrame = {
+    require(k >= 1, s"number of partitions must be >= 1, got $k")
     require(numSlices >= 1, s"number of slices must be >= 1, got $numSlices")
-    import spark.implicits._
-    val keyed = edges.select($"src", $"dst", $"id")
-      .as[(Long, Long, Long)].rdd
-      .map { case (s, d, i) => ((s, i), (s, d, i)) }
-    val sample = keyed.mapPartitions(_.grouped(256).map(_.head._1)).collect().sorted
-    val bounds = if (sample.isEmpty) Array.empty[(Long, Long)]
-                 else Array.tabulate(numSlices - 1)(j => sample((j + 1) * sample.length / numSlices))
-    val order = Ordering[(Long, Long)]
-    val slices = new Partitioner { // a key's slice is the number of bounds below it
-      def numPartitions: Int = numSlices
-      def getPartition(key: Any): Int = bounds.count(order.lt(_, key.asInstanceOf[(Long, Long)]))
+    val rows = EdgeStream.slices(edges, numSlices).flatMap { case (run, local) =>
+      val part = new Clugp(cfg).partition(local, k).part
+      Iterator.range(0, run.size).map(e => Row(run.id(e), run.src(e), run.dst(e), part(e)))
     }
-    val ordered = keyed.repartitionAndSortWithinPartitions(slices).values
-    val assigned = ordered.mapPartitions { it =>
-      val buf = it.toArray
-      if (buf.isEmpty) Iterator.empty
-      else {
-        // local dense remap, local three-pass CLUGP, then emit global ids
-        val local = EdgeStream.fromPairs(buf.map(e => (e._1, e._2)).toIndexedSeq)
-        val res   = new Clugp(cfg).partition(local, k)
-        buf.iterator.zipWithIndex.map { case ((s, d, i), j) => (i, s, d, res.part(j)) }
-      }
-    }
-    assigned.toDF("id", "src", "dst", "part")
+    spark.createDataFrame(rows, Metrics.AssignmentSchema)
   }
 }

@@ -1,11 +1,9 @@
 package repro.core
 
-import scala.collection.mutable.ArrayBuilder
-
+import org.apache.spark.HashPartitioner
+import org.apache.spark.rdd.RDD
 import org.apache.spark.sql.{DataFrame, SparkSession}
-import org.apache.spark.sql.classic.ClassicConversions.castToImpl
-import org.apache.spark.sql.functions.col
-import repro.Blocks.{LongIndex, countingSort}
+import repro.Blocks.{LongIndex, bySender, countingSort, readLongs, requireNoNull}
 
 /** A materialized edge stream: the paper's `G_S = {e_1 … e_|E|}`.
   *
@@ -52,8 +50,8 @@ final class EdgeStream(val src: Array[Int], val dst: Array[Int], val numVertices
     new EdgeStream(s2, d2, numVertices)
   }
 
-  /** Prefix of the stream (first `n` edges) — used by slice-wise
-    * distributed runs and tests. */
+  /** Prefix of the stream (first `n` edges), for tests on a smaller
+    * graph. */
   def take(n: Int): EdgeStream = {
     val m = math.min(n, numEdges)
     new EdgeStream(src.take(m), dst.take(m), numVertices)
@@ -86,24 +84,46 @@ object EdgeStream {
     *         partition
     */
   def fromDF(edges: DataFrame): EdgeStream = {
-    val rows = castToImpl(edges.select(Columns.map(col(_).cast("long")): _*)).queryExecution.toRdd
-    val runs = rows.mapPartitions { it =>
-      val src = new ArrayBuilder.ofLong
-      val dst = new ArrayBuilder.ofLong
-      val id = new ArrayBuilder.ofLong
-      var nullColumn = -1
-      it.foreach { r =>
-        if (nullColumn < 0 && r.anyNull) nullColumn = Columns.indices.indexWhere(r.isNullAt)
-        src.addOne(r.getLong(0)); dst.addOne(r.getLong(1)); id.addOne(r.getLong(2))
-      }
-      val (s, d, i) = (src.result(), dst.result(), id.result())
-      val order = stableOrder(s, i)
-      Iterator(new SortedRun(permute(s, order), permute(d, order), permute(i, order), nullColumn))
+    val run = readSorted(edges)
+    relabel(run.src, run.dst)
+  }
+
+  /** The edges of [[fromDF]] in stream order, before the relabel.
+    * @throws IllegalArgumentException as [[fromDF]] */
+  private[repro] def readSorted(edges: DataFrame): SortedRun = {
+    val runs = readLongs(edges, Columns).map { case (columns, nullColumn) => (sorted(columns), nullColumn) }
+      .collect()
+    requireNoNull(runs.map(_._2))
+    merge(runs.map(_._1))
+  }
+
+  /** The slices of distributed CLUGP (paper §III-C, last ¶): the stream
+    * order of `edges` cut into `numSlices` contiguous `(src, id)` ranges at
+    * bounds from a fixed sample, every 256th edge of each input partition in
+    * read order, so every call cuts the same slices. Each task sorts its
+    * partition as [[fromDF]] does and ships the pieces between bounds to
+    * their slices; each slice with edges merges its pieces, ties in input
+    * partition order, and relabels them as a local stream.
+    * @throws IllegalArgumentException as [[fromDF]] */
+  private[core] def slices(edges: DataFrame, numSlices: Int): RDD[(SortedRun, EdgeStream)] = {
+    val read = readLongs(edges, Columns)
+    val samples = read.map { case (columns, nullColumn) =>
+      val every = Array.range(0, columns(0).length, 256)
+      (every.map(columns(0)), every.map(columns(2)), nullColumn)
     }.collect()
-    runs.find(_.nullColumn >= 0).foreach(r =>
-      throw new IllegalArgumentException(s"edge column ${Columns(r.nullColumn)} holds a null"))
-    val (src, dst) = merge(runs)
-    relabel(src, dst)
+    requireNoNull(samples.map(_._3))
+    val (src, id) = (samples.flatMap(_._1), samples.flatMap(_._2))
+    val order = stableOrder(src, id)
+    val bounds = if (order.isEmpty) Array.emptyIntArray
+                 else Array.tabulate(numSlices - 1)(j => order(((j + 1L) * order.length / numSlices).toInt))
+    val (boundSrc, boundId) = (bounds.map(src), bounds.map(id))
+    val inputs = read.getNumPartitions
+    read.mapPartitionsWithIndex { (from, cs) =>
+      cs.flatMap(c => cut(sorted(c._1), boundSrc, boundId).map { case (slice, piece) => (slice, (from, piece)) })
+    }.partitionBy(new HashPartitioner(numSlices)).mapPartitions { pieces =>
+      val run = merge(bySender(inputs, pieces).filter(_ != null))
+      if (run.size == 0) Iterator.empty else Iterator((run, relabel(run.src, run.dst)))
+    }
   }
 
   /** Build a stream from (src, dst) pairs already in stream order,
@@ -123,11 +143,20 @@ object EdgeStream {
 
   private val Columns = Seq("src", "dst", "id")
 
-  /** One partition's edges sorted by `(src, id)`, ties in partition order;
-    * `nullColumn` is the first column seen null, or -1. */
-  private final class SortedRun(val src: Array[Long], val dst: Array[Long], val id: Array[Long],
-                                val nullColumn: Int) extends Serializable {
+  /** Edges sorted by `(src, id)`, in columns. */
+  private[repro] final class SortedRun(val src: Array[Long], val dst: Array[Long], val id: Array[Long])
+      extends Serializable {
     def size: Int = src.length
+    def slice(from: Int, until: Int): SortedRun =
+      new SortedRun(src.slice(from, until), dst.slice(from, until), id.slice(from, until))
+  }
+
+  /** One partition's `(src, dst, id)` sorted by `(src, id)`, ties in
+    * partition order. */
+  private def sorted(columns: Array[Array[Long]]): SortedRun = {
+    val Array(src, dst, id) = columns
+    val order = stableOrder(src, id)
+    new SortedRun(permute(src, order), permute(dst, order), permute(id, order))
   }
 
   private def permute(a: Array[Long], order: Array[Int]): Array[Long] = {
@@ -135,6 +164,22 @@ object EdgeStream {
     var i = 0
     while (i < order.length) { out(i) = a(order(i)); i += 1 }
     out
+  }
+
+  /** `run` cut at the bounds `(boundSrc(j), boundId(j))`, ascending: the
+    * non-empty pieces keyed by slice, where slice `j` holds the keys
+    * `(src, id)` above bound `j − 1` and up to bound `j`. */
+  private def cut(run: SortedRun, boundSrc: Array[Long], boundId: Array[Long]): Iterator[(Int, SortedRun)] = {
+    val start = new Array[Int](boundSrc.length + 2) // slice j is start(j) until start(j + 1)
+    for (j <- boundSrc.indices) {
+      var e = start(j)
+      while (e < run.size && (run.src(e) < boundSrc(j) || run.src(e) == boundSrc(j) && run.id(e) <= boundId(j)))
+        e += 1
+      start(j + 1) = e
+    }
+    start(boundSrc.length + 1) = run.size
+    (0 to boundSrc.length).iterator.filter(j => start(j + 1) > start(j))
+      .map(j => (j, run.slice(start(j), start(j + 1))))
   }
 
   /** Positions `0 until src.length` sorted by `(src, id)`, ties in position
@@ -158,11 +203,10 @@ object EdgeStream {
     (out, index.size)
   }
 
-  /** Merges the runs k ways by `(src, id)`, ties in run order; returns the
-    * merged `(src, dst)` columns. */
-  private def merge(runs: Array[SortedRun]): (Array[Long], Array[Long]) = {
+  /** Merges the runs k ways by `(src, id)`, ties in run order. */
+  private def merge(runs: Array[SortedRun]): SortedRun = {
     val n = intCount("edges", runs.map(_.size.toLong).sum)
-    val src = new Array[Long](n); val dst = new Array[Long](n)
+    val src = new Array[Long](n); val dst = new Array[Long](n); val id = new Array[Long](n)
     val pos = new Array[Int](runs.length)
     def before(a: Int, b: Int): Boolean = {
       val sa = runs(a).src(pos(a))
@@ -193,13 +237,13 @@ object EdgeStream {
     var e = 0
     while (size > 0) {
       val r = heap(0)
-      src(e) = runs(r).src(pos(r)); dst(e) = runs(r).dst(pos(r))
+      src(e) = runs(r).src(pos(r)); dst(e) = runs(r).dst(pos(r)); id(e) = runs(r).id(pos(r))
       e += 1
       pos(r) += 1
       if (pos(r) == runs(r).size) { size -= 1; heap(0) = heap(size) }
       siftDown(0)
     }
-    (src, dst)
+    new SortedRun(src, dst, id)
   }
 
   /** Dense 0-based ids by first appearance along the stream, the source of

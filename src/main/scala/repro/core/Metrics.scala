@@ -108,7 +108,7 @@ object Metrics {
     spark.createDataFrame(rows, AssignmentSchema)
   }
 
-  private val AssignmentSchema = StructType(Seq(
+  private[core] val AssignmentSchema = StructType(Seq(
     StructField("id", LongType, nullable = false),
     StructField("src", LongType, nullable = false),
     StructField("dst", LongType, nullable = false),

@@ -1,14 +1,13 @@
 package repro.gas
 
 import scala.collection.mutable.{ArrayBuffer, ArrayBuilder}
+import scala.jdk.CollectionConverters._
 import scala.reflect.ClassTag
 
 import org.apache.spark.HashPartitioner
 import org.apache.spark.rdd.RDD
 import org.apache.spark.sql.{DataFrame, SparkSession}
-import org.apache.spark.sql.classic.ClassicConversions.castToImpl
-import org.apache.spark.sql.functions.col
-import repro.Blocks.{LongIndex, bySender, countingSort}
+import repro.Blocks.{LongIndex, bySender, countingSort, readLongs}
 
 /** The edges of the GAS partitions `part ≡ id (mod P)`, in primitive arrays.
   *
@@ -275,15 +274,18 @@ private[gas] object BlockGraph {
   /** Loads `(src, dst, part)` of `assigned` into blocks; with `undirected`
     * every edge is also loaded reversed, on the same GAS partition.
     *
-    * @throws IllegalArgumentException on a negative partition id
+    * @throws IllegalArgumentException on a null `src`, `dst` or `part`, or
+    *         a partition id that is negative or outside the `Int` range
     */
   def load(spark: SparkSession, assigned: DataFrame, undirected: Boolean): BlockGraph = {
     val sc = spark.sparkContext
     val p = sc.defaultParallelism
     val partitioner = new HashPartitioner(p)
-    val rows = castToImpl(assigned.select(
-      col("src").cast("long"), col("dst").cast("long"), col("part").cast("int"))).queryExecution.toRdd
-    val routed = rows.mapPartitions { it =>
+    // what the routing tasks reject, checked on the driver once the blocks are built
+    val rejected = sc.collectionAccumulator[String]("rejected edges")
+    val routed = readLongs(assigned, Seq("src", "dst", "part")).flatMap { case (columns, nullColumn) =>
+      nullColumn.foreach(column => rejected.add(s"edge column $column holds a null"))
+      val Array(srcs, dsts, parts) = columns
       val src = Array.fill(p)(new ArrayBuilder.ofLong)
       val dst = Array.fill(p)(new ArrayBuilder.ofLong)
       val part = Array.fill(p)(new ArrayBuilder.ofInt)
@@ -291,9 +293,16 @@ private[gas] object BlockGraph {
         val b = java.lang.Math.floorMod(q, p)
         src(b).addOne(s); dst(b).addOne(d); part(b).addOne(q)
       }
-      it.foreach { r =>
-        add(r.getLong(0), r.getLong(1), r.getInt(2))
-        if (undirected) add(r.getLong(1), r.getLong(0), r.getInt(2))
+      var outside = false
+      var e = 0
+      while (e < srcs.length) {
+        val q = parts(e).toInt
+        if (q != parts(e) && !outside) {
+          rejected.add(s"GAS partition id ${parts(e)} outside the Int range"); outside = true
+        }
+        add(srcs(e), dsts(e), q)
+        if (undirected) add(dsts(e), srcs(e), q)
+        e += 1
       }
       (0 until p).iterator.map(b => (b, (src(b).result(), dst(b).result(), part(b).result())))
         .filter(_._2._1.nonEmpty)
@@ -301,9 +310,10 @@ private[gas] object BlockGraph {
     val edges = routed.mapPartitionsWithIndex((b, it) => Iterator(EdgeBlock.build(b, p, it.map(_._2))))
       .persist()
     val minPart = edges.map(_.minPart).collect().min
-    if (minPart < 0) {
+    if (minPart < 0) rejected.add(s"negative GAS partition id $minPart")
+    rejected.value.asScala.headOption.foreach { why =>
       edges.unpersist(blocking = false)
-      throw new IllegalArgumentException(s"negative GAS partition id $minPart")
+      throw new IllegalArgumentException(why)
     }
     val masters = edges.flatMap(MasterBlock.announce(_, p)).partitionBy(partitioner)
       .mapPartitionsWithIndex((m, it) => Iterator(MasterBlock.build(m, p, it)))

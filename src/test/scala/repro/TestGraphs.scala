@@ -22,15 +22,18 @@ object TestGraphs {
     socialCache
   }
 
-  /** Order-sensitive 64-bit hash of a stream's `(src, dst)` columns
-    * (splitmix64 finalizer per element, chained), the dataset fingerprint
-    * the benchmark records. */
-  def streamHash(s: EdgeStream): Long = {
+  /** Order-sensitive 64-bit hash of a stream's `(src, dst)` columns, the
+    * dataset fingerprint the benchmark records. */
+  def streamHash(s: EdgeStream): Long = columnsHash(Seq(s.src.map(_.toLong), s.dst.map(_.toLong)))
+
+  /** Order-sensitive 64-bit hash of long columns (splitmix64 finalizer per
+    * element, chained). */
+  def columnsHash(columns: Seq[Array[Long]]): Long = {
     var h = 0x9E3779B97F4A7C15L
-    Seq(s.src, s.dst).foreach { a =>
+    columns.foreach { a =>
       var i = 0
       while (i < a.length) {
-        var z = h ^ (a(i).toLong + 0x9E3779B97F4A7C15L)
+        var z = h ^ (a(i) + 0x9E3779B97F4A7C15L)
         z = (z ^ (z >>> 30)) * 0xBF58476D1CE4E5B9L
         z = (z ^ (z >>> 27)) * 0x94D049BB133111EBL
         h = (z ^ (z >>> 31)) + i

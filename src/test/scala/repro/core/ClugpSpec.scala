@@ -145,6 +145,39 @@ class ClugpSpec extends SparkSpec {
     assert(e.getMessage.contains("got 0"), e.getMessage)
   }
 
+  test("distributed mode gives the pinned assignment on Tiny and TinySocial") {
+    // hashes of the (id, part) pairs by id at k = 8 with 4 slices: a change
+    // to the slice bounds, the order within a slice or its labels moves them
+    val want = Seq(WebGraphs.Tiny -> "1e01719e679b0ceb", WebGraphs.TinySocial -> "3167993bd8cea4b1")
+    for ((spec, hash) <- want) {
+      val pairs = Clugp.partitionDistributed(spark, spec.df(spark), 8, numSlices = 4)
+        .select("id", "part").collect().map(r => (r.getLong(0), r.getInt(1).toLong)).sorted
+      val got = TestGraphs.columnsHash(Seq(pairs.map(_._1), pairs.map(_._2)))
+      assert(f"$got%016x" == hash, spec.name)
+    }
+  }
+
+  test("distributed mode rejects k < 1 at the call") {
+    for (k <- Seq(0, -3)) {
+      val e = intercept[IllegalArgumentException] {
+        Clugp.partitionDistributed(spark, WebGraphs.Tiny.df(spark), k, numSlices = 4)
+      }
+      assert(e.getMessage.contains(s"got $k"), e.getMessage)
+    }
+  }
+
+  test("distributed mode rejects a null src, dst or id, naming the column") {
+    import spark.implicits._
+    for ((column, c) <- Seq("src", "dst", "id").zipWithIndex) {
+      val row = Array[Option[Long]](Some(1L), Some(2L), Some(1L))
+      row(c) = None
+      val df = Seq((Option(1L), Option(3L), Option(0L)), (row(0), row(1), row(2)))
+        .toDF("src", "dst", "id")
+      val e = intercept[IllegalArgumentException](Clugp.partitionDistributed(spark, df, 2, numSlices = 2))
+      assert(e.getMessage.contains(column), e.getMessage)
+    }
+  }
+
   test("V_max and lambda derive from the configuration") {
     val cfg = ClugpConfig()
     assert(cfg.vMax(361000, 256) == 361000L / 256)

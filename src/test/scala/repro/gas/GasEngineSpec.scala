@@ -135,6 +135,25 @@ class GasEngineSpec extends SparkSpec {
     failsNaming("-3")(GasEngine.connectedComponents(spark, negative))
   }
 
+  test("pageRank and connectedComponents reject a null column and a part outside the Int range") {
+    import spark.implicits._
+    // real vertex ids 1–3: a null read as 0 would add a vertex 0
+    def rows(bad: (Option[Long], Option[Long], Option[Long])) =
+      Seq((Option(1L), Option(2L), Option(0L)), bad, (Option(3L), Option(1L), Option(1L)))
+        .zipWithIndex.map { case ((s, d, q), i) => (i.toLong, s, d, q) }.toDF("id", "src", "dst", "part")
+    val cases = Seq(
+      "src" -> rows((None, Some(3L), Some(0L))),
+      "dst" -> rows((Some(2L), None, Some(0L))),
+      "part" -> rows((Some(2L), Some(3L), None)),
+      "4294967296" -> rows((Some(2L), Some(3L), Some(1L << 32))))
+    for ((named, df) <- cases) {
+      val pr = intercept[IllegalArgumentException](GasEngine.pageRank(spark, df))
+      assert(pr.getMessage.contains(named), pr.getMessage)
+      val cc = intercept[IllegalArgumentException](GasEngine.connectedComponents(spark, df))
+      assert(cc.getMessage.contains(named), cc.getMessage)
+    }
+  }
+
   test("each call caches nothing but its result") {
     val (_, df) = assigned(4)
     def persisted = spark.sparkContext.getPersistentRDDs.size
