@@ -86,11 +86,11 @@ object Main {
       val spark = SparkSession.builder().appName(s"clugp-${args.head}")
         .master(sys.env.getOrElse("SPARK_MASTER", "local[*]")).getOrCreate()
       try {
-        val stream = EdgeStream.fromDF(cmd.spec.df(spark))
+        def stream(spec: GraphSpec) = EdgeStream.fromDF(spec.df(spark))
         cmd match {
-          case Partition(spec, ks, algo) => partition(spec, stream, ks, algo)
-          case PageRank(spec, k, iters, rttMs) => pageRank(spark, spec, stream, k, iters, rttMs)
-          case Diag(spec, k) => diag(spark, spec, stream, k)
+          case Partition(spec, ks, algo) => partition(spec, stream(spec), ks, algo)
+          case PageRank(spec, k, iters, rttMs) => pageRank(spark, spec, stream(spec), k, iters, rttMs)
+          case Diag(spec, k) => diag(spec, EdgeStream.readSorted(spec.df(spark)), k)
         }
       } finally spark.stop()
   }
@@ -122,10 +122,10 @@ object Main {
   /** Cluster counts, cut fractions and host locality per pass, the RF of a
     * clustering without its divided-vertex information, and the game ×
     * init × weight grid, to tune the reproduction's parameters. */
-  private def diag(spark: SparkSession, spec: GraphSpec, stream: EdgeStream, k: Int): Unit = {
+  private def diag(spec: GraphSpec, raw: EdgeStream.SortedRun, k: Int): Unit = {
+    val stream = EdgeStream.relabel(raw.src, raw.dst)
     // whether each edge, in stream order, stays within its source's host
     // block of the generator's 1-based ids
-    val raw = EdgeStream.readSorted(spec.df(spark))
     val intraHostEdge = Array.tabulate(raw.size)(e =>
       (raw.src(e) - 1) / spec.hostSize == (raw.dst(e) - 1) / spec.hostSize)
     val intraHost = intraHostEdge.count(identity)

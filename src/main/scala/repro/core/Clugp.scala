@@ -14,14 +14,15 @@ case object GreedyPlacement extends GameMode
 
 /** CLUGP configuration (defaults = paper §VI-A).
   *
-  * @param tau        imbalance factor τ of pass 3
+  * @param tau        imbalance factor τ ≥ 1 of pass 3
   * @param splitting  enable the splitting operation of pass 1
   *                   (`false` = the CLUGP-S ablation)
   * @param gameMode   pass-2 strategy
-  * @param weight     relative weight of load balancing vs edge-cutting
-  *                   (Fig. 11(b)); 0.5 = equal importance = λ at λ_max,
-  *                   implemented as λ = λ_max · w/(1−w)
-  * @param vMaxFactor maximum cluster volume as a multiple of |E|/k
+  * @param weight     relative weight w ∈ [0, 1) of load balancing vs
+  *                   edge-cutting (Fig. 11(b)); 0.5 = equal importance =
+  *                   λ at λ_max, implemented as λ = λ_max · w/(1−w)
+  * @param vMaxFactor maximum cluster volume as a multiple of |E|/k, finite
+  *                   and > 0
   * @param init       initial strategy profile of the game
   * @param seed       seed of the game's random initial strategies
   */
@@ -33,6 +34,14 @@ final case class ClugpConfig(
     vMaxFactor: Double = 1.0,
     init: InitStrategy = RangeInit,
     seed: Long = 17) {
+  // w = 1 makes λ infinite, which puts every cluster on partition 0; w
+  // outside [0, 1) makes λ negative; vMax would clamp a factor ≤ 0 to 2;
+  // pass 3 rejects τ < 1 only after passes 1 and 2. NaN fails each check.
+  require(weight >= 0 && weight < 1, s"weight must be in [0, 1), got $weight")
+  require(vMaxFactor > 0 && vMaxFactor < Double.PositiveInfinity,
+    s"vMaxFactor must be finite and > 0, got $vMaxFactor")
+  require(tau >= 1, s"imbalance factor tau must be >= 1, got $tau")
+
   /** Maximum cluster volume V_max of `numEdges` edges into k partitions:
     * vMaxFactor·|E|/k, at least 2. */
   def vMax(numEdges: Long, k: Int): Long = math.max(2L, (vMaxFactor * numEdges / k).toLong)

@@ -2,7 +2,7 @@ package repro.core
 
 import org.apache.spark.HashPartitioner
 import org.apache.spark.rdd.RDD
-import org.apache.spark.sql.{DataFrame, SparkSession}
+import org.apache.spark.sql.DataFrame
 import repro.Blocks.{LongIndex, bySender, countingSort, readLongs, requireNoNull}
 
 /** A materialized edge stream: the paper's `G_S = {e_1 … e_|E|}`.
@@ -55,14 +55,6 @@ final class EdgeStream(val src: Array[Int], val dst: Array[Int], val numVertices
   def take(n: Int): EdgeStream = {
     val m = math.min(n, numEdges)
     new EdgeStream(src.take(m), dst.take(m), numVertices)
-  }
-
-  /** The stream as a DataFrame `(id, src, dst)` in stream order, for
-    * DataFrame-side metric computations and the DuckDB oracle. */
-  def toDF(spark: SparkSession): DataFrame = {
-    import spark.implicits._
-    src.indices.map(i => (i.toLong, src(i).toLong, dst(i).toLong))
-      .toDF("id", "src", "dst")
   }
 }
 
@@ -248,7 +240,7 @@ object EdgeStream {
 
   /** Dense 0-based ids by first appearance along the stream, the source of
     * an edge before its destination. */
-  private def relabel(src: Array[Long], dst: Array[Long]): EdgeStream = {
+  private[repro] def relabel(src: Array[Long], dst: Array[Long]): EdgeStream = {
     val label = new LongIndex("vertices")
     val s = new Array[Int](src.length); val d = new Array[Int](src.length)
     var e = 0

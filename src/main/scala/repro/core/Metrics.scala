@@ -1,7 +1,6 @@
 package repro.core
 
 import org.apache.spark.sql.{DataFrame, Row, SparkSession}
-import org.apache.spark.sql.functions._
 import org.apache.spark.sql.types.{IntegerType, LongType, StructField, StructType}
 
 /** Partition-quality metrics of paper §II-B, the one summary of a placement.
@@ -90,9 +89,9 @@ object Metrics {
   }
 
   /** DataFrame `(id, src, dst, part)` from a stream + assignment, the
-    * input of the GAS engine and of the SQL-side metrics below. Rows are in
-    * edge order; each of `defaultParallelism` slices ships one contiguous
-    * range of the primitive arrays and builds its rows in the task. */
+    * input of the GAS engine. Rows are in edge order; each of
+    * `defaultParallelism` slices ships one contiguous range of the
+    * primitive arrays and builds its rows in the task. */
   def assignmentDF(spark: SparkSession, stream: EdgeStream, part: Array[Int]): DataFrame = {
     require(part.length == stream.numEdges,
       s"assignment length ${part.length} != |E| ${stream.numEdges}")
@@ -113,26 +112,4 @@ object Metrics {
     StructField("src", LongType, nullable = false),
     StructField("dst", LongType, nullable = false),
     StructField("part", IntegerType, nullable = false)))
-
-  /** The replica set `(v, part)` of an assignment `(id, src, dst, part)`:
-    * one row per vertex and partition holding one of its edges. */
-  private[repro] def replicaSet(assigned: DataFrame): DataFrame =
-    assigned.select(col("src") as "v", col("part"))
-      .union(assigned.select(col("dst") as "v", col("part")))
-      .distinct()
-
-  /** Replication factor computed with the DataFrame API (Catalyst path);
-    * cross-checked against DuckDB in the test suite. One row:
-    * `(rf double, vertices long, replicas long)`; on an empty assignment
-    * `rf` and `replicas` are null. */
-  def replicationFactorDF(assigned: DataFrame): DataFrame =
-    replicaSet(assigned).groupBy(col("v")).agg(count(lit(1)) as "np")
-      .agg(avg(col("np")) as "rf",
-           count(lit(1)) as "vertices",
-           sum(col("np")) as "replicas")
-
-  /** Per-partition edge counts via the DataFrame API:
-    * `(part, edges)` sorted by partition. */
-  def partitionSizesDF(assigned: DataFrame): DataFrame =
-    assigned.groupBy(col("part")).agg(count(lit(1)) as "edges").orderBy(col("part"))
 }

@@ -43,10 +43,13 @@ object Runner {
     new Clugp(ClugpConfig(gameMode = GreedyPlacement)),
   )
 
+  /** Seed of the random stream order, the same for every algorithm that
+    * prefers it. */
+  val ShuffleSeed = 99L
+
   /** Run `algo` on the BFS-ordered `stream` with its preferred order. */
-  def run(dataset: String, stream: EdgeStream, algo: StreamingPartitioner,
-          k: Int, shuffleSeed: Long = 99): RunResult = {
-    val s = if (algo.preferredOrder == "bfs") stream else stream.shuffled(shuffleSeed)
+  def run(dataset: String, stream: EdgeStream, algo: StreamingPartitioner, k: Int): RunResult = {
+    val s = if (algo.preferredOrder == "bfs") stream else stream.shuffled(ShuffleSeed)
     val a = algo.partition(s, k)
     RunResult(dataset, algo.name, k, Metrics.evaluate(s, a.part, k), a.timeMs, a.spaceBytes)
   }

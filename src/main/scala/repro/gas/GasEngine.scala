@@ -185,22 +185,4 @@ object GasEngine {
     }
     r
   }
-
-  /** Exact driver-side connected-components reference (union-find). */
-  def connectedComponentsReference(src: Array[Int], dst: Array[Int], nV: Int): Array[Int] = {
-    val parent = Array.tabulate(nV)(identity)
-    def find(x: Int): Int = {
-      var r = x
-      while (parent(r) != r) { parent(r) = parent(parent(r)); r = parent(r) }
-      r
-    }
-    var i = 0
-    while (i < src.length) {
-      val a = find(src(i)); val b = find(dst(i))
-      if (a != b) parent(math.max(a, b)) = math.min(a, b)
-      i += 1
-    }
-    // component id = min vertex id in component
-    Array.tabulate(nV)(find)
-  }
 }

@@ -1,8 +1,6 @@
 package repro.gas
 
-import org.apache.spark.sql.{DataFrame, SparkSession}
-import org.apache.spark.sql.functions._
-import repro.core.{Metrics, PartitionQuality}
+import repro.core.PartitionQuality
 
 /** Master/mirror topology of a vertex-cut placement — what PowerGraph
   * materializes after loading a partitioned graph.
@@ -37,27 +35,4 @@ object GasTopology {
   def of(q: PartitionQuality): GasTopology =
     GasTopology(q.partitionSizes.length, q.vertices, q.vertices + q.numReplicas,
       q.numReplicas, q.partitionSizes)
-}
-
-/** Builds the master/mirror topology from an edge→partition assignment. */
-object VertexCutGraph {
-
-  /** [[GasTopology.of]] the quality counted by the DataFrame metrics.
-    * @param assigned DataFrame `(id, src, dst, part)` */
-  def topology(assigned: DataFrame, k: Int): GasTopology = {
-    val counts = Metrics.replicationFactorDF(assigned).collect()(0)
-    val replicas = if (counts.isNullAt(2)) 0L else counts.getLong(2)
-    val sizes = new Array[Long](k)
-    for (r <- Metrics.partitionSizesDF(assigned).collect()) sizes(r.getInt(0)) = r.getLong(1)
-    GasTopology.of(Metrics.quality(sizes, counts.getLong(1), replicas))
-  }
-
-  /** The replica table `(v, part, isMaster)`; PowerGraph designates the
-    * lowest-numbered holding partition as the master. */
-  def replicaTable(spark: SparkSession, assigned: DataFrame): DataFrame = {
-    val reps = Metrics.replicaSet(assigned)
-    val masters = reps.groupBy("v").agg(min("part") as "masterPart")
-    reps.join(masters, "v")
-      .select(col("v"), col("part"), (col("part") === col("masterPart")) as "isMaster")
-  }
 }

@@ -8,14 +8,14 @@ import repro.core.{EdgeStream, ReplicaTable}
   * Needs the full replica table and partition loads — high quality, high
   * time/space cost.
   */
-final class GreedyPartitioner(tau: Double = 1.02) extends StreamingPartitioner {
+final class GreedyPartitioner extends StreamingPartitioner {
   override val name = "Greedy"
 
   override def partition(stream: EdgeStream, k: Int): PartitionAssignment = timed {
     val nV = stream.numVertices
     val A = new ReplicaTable(nV, k)
     val load = new Array[Long](k)
-    val capacity = math.max(1L, math.ceil(tau * stream.numEdges / k.toDouble).toLong)
+    val capacity = Capacity(stream.numEdges, k)
     val out = new Array[Int](stream.numEdges)
     var i = 0
     while (i < out.length) {
@@ -63,14 +63,12 @@ final class GreedyPartitioner(tau: Double = 1.02) extends StreamingPartitioner {
 /** HDRF (Petroni et al., CIKM'15) — the paper's state-of-the-art
   * baseline: High-Degree (vertices are) Replicated First. Scores every
   * partition per edge with a replication term favouring partitions that
-  * already hold the *lower*-degree endpoint, plus a load-balance term.
-  *
-  * @param lambdaBal balance weight (HDRF's λ, default 1.0 as in VGP)
-  * @param tau hard capacity bound as a fraction of |E|/k (the paper
-  *        reports relative balance 1.0 for every algorithm)
+  * already hold the *lower*-degree endpoint, plus a load-balance term of
+  * weight [[HdrfPartitioner.LambdaBal]], under the hard capacity bound.
   */
-final class HdrfPartitioner(lambdaBal: Double = 1.0, tau: Double = 1.02)
-    extends StreamingPartitioner {
+final class HdrfPartitioner extends StreamingPartitioner {
+  import HdrfPartitioner.LambdaBal
+
   override val name = "HDRF"
 
   override def partition(stream: EdgeStream, k: Int): PartitionAssignment = timed {
@@ -78,7 +76,7 @@ final class HdrfPartitioner(lambdaBal: Double = 1.0, tau: Double = 1.02)
     val A = new ReplicaTable(nV, k)
     val deg = new Array[Int](nV) // partial degrees
     val load = new Array[Long](k)
-    val capacity = math.max(1L, math.ceil(tau * stream.numEdges / k.toDouble).toLong)
+    val capacity = Capacity(stream.numEdges, k)
     val out = new Array[Int](stream.numEdges)
     val eps = 1.0
     var maxLoad = 0L; var minLoad = 0L
@@ -100,15 +98,10 @@ final class HdrfPartitioner(lambdaBal: Double = 1.0, tau: Double = 1.02)
           if (A.contains(u, p)) cRep += 1.0 + (1.0 - thetaU)
           if (A.contains(v, p)) cRep += 1.0 + thetaU
           val cBal = (maxLoad - load(p)).toDouble / (eps + (maxLoad - minLoad).toDouble)
-          val score = cRep + lambdaBal * cBal
+          val score = cRep + LambdaBal * cBal
           if (score > bestScore) { bestScore = score; best = p }
         }
         p += 1
-      }
-      if (best < 0) { // all partitions at capacity (cannot happen for tau>1)
-        best = 0
-        p = 1
-        while (p < k) { if (load(p) < load(best)) best = p; p += 1 }
       }
       out(i) = best
       A.add(u, best); A.add(v, best)
@@ -120,4 +113,19 @@ final class HdrfPartitioner(lambdaBal: Double = 1.0, tau: Double = 1.02)
     }
     (out, A.spaceBytes + 4L * nV + 8L * k)
   }
+}
+
+object HdrfPartitioner {
+  /** HDRF's balance weight λ, 1.0 as in VGP. Every score is then ≥ 0 and a
+    * least-loaded partition is always eligible, so each edge finds one. */
+  val LambdaBal = 1.0
+}
+
+/** The hard capacity bound of Greedy and HDRF: ⌈τ·|E|/k⌉ edges per
+  * partition, at least 1. */
+private object Capacity {
+  /** τ = 1.02: the paper reports relative balance 1.0 for every algorithm. */
+  val Tau = 1.02
+
+  def apply(numEdges: Int, k: Int): Long = math.max(1L, math.ceil(Tau * numEdges / k.toDouble).toLong)
 }

@@ -17,11 +17,9 @@ import repro.core.EdgeStream
   * Balance is enforced as a hard eligibility constraint (Mint treats the
   * capacity bound as part of the action space): an edge may only choose a
   * partition whose load is within a small slack of the current minimum.
-  *
-  * @param batchSize edges per batch game
-  * @param rounds    max best-response rounds per batch
   */
-final class MintPartitioner(batchSize: Int = 4096, rounds: Int = 3) extends StreamingPartitioner {
+final class MintPartitioner extends StreamingPartitioner {
+  import MintPartitioner.{BatchSize, Rounds}
   override val name = "Mint"
   override def preferredOrder: String = "bfs"
 
@@ -40,12 +38,12 @@ final class MintPartitioner(batchSize: Int = 4096, rounds: Int = 3) extends Stre
 
     // hard balance slack: a partition is eligible only while its load is
     // within `slack` of the minimum (≈ half a batch's fair share)
-    val slack = math.max(8L, batchSize / (2L * k))
+    val slack = math.max(8L, BatchSize / (2L * k))
     val balNorm = math.max(1.0, nE.toDouble / k) // soft tiebreak scale
     var peakEntries = 0
     var start = 0
     while (start < nE) {
-      val end = math.min(start + batchSize, nE)
+      val end = math.min(start + BatchSize, nE)
       cnt.clear()
       // initial strategies: least-loaded placement (feasible by construction)
       var i = start
@@ -59,7 +57,7 @@ final class MintPartitioner(batchSize: Int = 4096, rounds: Int = 3) extends Stre
       }
       // batch best-response dynamics over eligible partitions
       var r = 0; var changed = true
-      while (r < rounds && changed) {
+      while (r < Rounds && changed) {
         changed = false
         // the slack is lenient, so refreshing the floor once per round
         // (not per edge) keeps the balance bound while saving a k-scan
@@ -92,4 +90,11 @@ final class MintPartitioner(batchSize: Int = 4096, rounds: Int = 3) extends Stre
     }
     (out, 16L * peakEntries + 8L * k)
   }
+}
+
+object MintPartitioner {
+  /** Edges per batch game. */
+  val BatchSize = 4096
+  /** Most best-response rounds per batch. */
+  val Rounds = 3
 }

@@ -1,6 +1,6 @@
 package repro
 
-import org.apache.spark.sql.SparkSession
+import org.apache.spark.sql.{DataFrame, SparkSession}
 import repro.core.EdgeStream
 
 /** Shared, lazily-built test graphs so suites don't regenerate them.
@@ -20,6 +20,14 @@ object TestGraphs {
   def tinySocial(spark: SparkSession): EdgeStream = synchronized {
     if (socialCache == null) socialCache = EdgeStream.fromDF(WebGraphs.TinySocial.df(spark))
     socialCache
+  }
+
+  /** The stream as a DataFrame `(id, src, dst)` in stream order, for
+    * DataFrame-side metric computations and the DuckDB oracle. */
+  def toDF(spark: SparkSession, s: EdgeStream): DataFrame = {
+    import spark.implicits._
+    s.src.indices.map(i => (i.toLong, s.src(i).toLong, s.dst(i).toLong))
+      .toDF("id", "src", "dst")
   }
 
   /** Order-sensitive 64-bit hash of a stream's `(src, dst)` columns, the

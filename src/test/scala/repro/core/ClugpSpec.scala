@@ -91,7 +91,7 @@ class ClugpSpec extends SparkSpec {
     val s = TestGraphs.tiny(spark)
     val local = Metrics.evaluate(s, Clugp.run(s, 8).part, 8).replicationFactor
     val assigned = Clugp.partitionDistributed(spark, df, 8, numSlices = 4)
-    val dist = Metrics.replicationFactorDF(assigned).collect()(0).getDouble(0)
+    val dist = MetricsDF.replicationFactorDF(assigned).collect()(0).getDouble(0)
     // slices lose cross-slice structure; allow a modest degradation
     assert(dist < local * 1.8 + 0.5, s"dist=$dist local=$local")
     // and distributed partitioning must still beat hashing
@@ -103,7 +103,7 @@ class ClugpSpec extends SparkSpec {
   test("oracle: distributed assignment balance via DuckDB") {
     val df = WebGraphs.Tiny.df(spark)
     val assigned = Clugp.partitionDistributed(spark, df, 4, numSlices = 2)
-    Oracle.assertEquivalent(Metrics.partitionSizesDF(assigned),
+    Oracle.assertEquivalent(MetricsDF.partitionSizesDF(assigned),
       "SELECT part, COUNT(*) AS edges FROM assigned GROUP BY part ORDER BY part",
       "assigned" -> assigned)
   }
@@ -176,6 +176,25 @@ class ClugpSpec extends SparkSpec {
       val e = intercept[IllegalArgumentException](Clugp.partitionDistributed(spark, df, 2, numSlices = 2))
       assert(e.getMessage.contains(column), e.getMessage)
     }
+  }
+
+  test("ClugpConfig rejects a weight, vMaxFactor or tau that breaks CLUGP, naming the value") {
+    def rejects(value: String)(cfg: => ClugpConfig): Unit = {
+      val e = intercept[IllegalArgumentException](cfg)
+      assert(e.getMessage.contains(s"got $value"), e.getMessage)
+    }
+    rejects("1.0")(ClugpConfig(weight = 1.0))
+    rejects("1.5")(ClugpConfig(weight = 1.5))
+    rejects("-0.1")(ClugpConfig(weight = -0.1))
+    rejects("NaN")(ClugpConfig(weight = Double.NaN))
+    rejects("0.0")(ClugpConfig(vMaxFactor = 0.0))
+    rejects("-1.0")(ClugpConfig(vMaxFactor = -1.0))
+    rejects("NaN")(ClugpConfig(vMaxFactor = Double.NaN))
+    rejects("Infinity")(ClugpConfig(vMaxFactor = Double.PositiveInfinity))
+    rejects("0.9")(ClugpConfig(tau = 0.9))
+    rejects("NaN")(ClugpConfig(tau = Double.NaN))
+    assert(ClugpConfig(weight = 0.0).lambda(0.25) == 0.0)
+    assert(ClugpConfig(vMaxFactor = 1e-9).vMax(10, 2) == 2)
   }
 
   test("V_max and lambda derive from the configuration") {

@@ -124,7 +124,7 @@ class EdgeStreamSpec extends SparkSpec {
 
   test("toDF roundtrips the stream") {
     val s = TestGraphs.handStream
-    val df = s.toDF(spark)
+    val df = TestGraphs.toDF(spark, s)
     assert(df.count() == s.numEdges)
     val back = df.orderBy("id").collect()
     assert(back.map(_.getLong(1)).toSeq == s.src.map(_.toLong).toSeq)
@@ -134,7 +134,7 @@ class EdgeStreamSpec extends SparkSpec {
   test("oracle: degree computation via DataFrame matches DuckDB") {
     import org.apache.spark.sql.functions._
     val s = TestGraphs.handStream
-    val edges = s.toDF(spark)
+    val edges = TestGraphs.toDF(spark, s)
     val sparkDeg = edges.select(col("src") as "v")
       .union(edges.select(col("dst") as "v"))
       .groupBy("v").agg(count(lit(1)) as "degree")
@@ -148,7 +148,7 @@ class EdgeStreamSpec extends SparkSpec {
   test("oracle: per-source out-degree matches DuckDB") {
     import org.apache.spark.sql.functions._
     val s = TestGraphs.tiny(spark)
-    val edges = s.toDF(spark).limit(2000)
+    val edges = TestGraphs.toDF(spark, s).limit(2000)
     val outDeg = edges.groupBy("src").agg(count(lit(1)) as "outdeg")
     Oracle.assertEquivalent(outDeg,
       "SELECT src, COUNT(*) AS outdeg FROM edges GROUP BY src",

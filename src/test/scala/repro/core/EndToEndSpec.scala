@@ -47,7 +47,7 @@ class EndToEndSpec extends SparkSpec {
       val a = algo.partition(s, 8)
       val q = Metrics.evaluate(s, a.part, 8)
       val df = Metrics.assignmentDF(spark, s, a.part)
-      val rf = Metrics.replicationFactorDF(df).collect()(0).getDouble(0)
+      val rf = MetricsDF.replicationFactorDF(df).collect()(0).getDouble(0)
       assert(math.abs(rf - q.replicationFactor) < 1e-9, algo.name)
     }
   }

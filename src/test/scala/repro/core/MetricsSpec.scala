@@ -49,11 +49,11 @@ class MetricsSpec extends SparkSpec {
     val part = new repro.partitioners.DbhPartitioner().partition(s, 8).part
     val q = Metrics.evaluate(s, part, 8)
     val df = Metrics.assignmentDF(spark, s, part)
-    val row = Metrics.replicationFactorDF(df).collect()(0)
+    val row = MetricsDF.replicationFactorDF(df).collect()(0)
     assert(math.abs(row.getDouble(0) - q.replicationFactor) < 1e-9)
     assert(row.getLong(1) == s.numVertices)
     assert(row.getLong(2) == q.numReplicas + s.numVertices)
-    val sizes = Metrics.partitionSizesDF(df).collect().map(r => r.getLong(1))
+    val sizes = MetricsDF.partitionSizesDF(df).collect().map(r => r.getLong(1))
     assert(sizes.toSeq == q.partitionSizes.filter(_ > 0).toSeq)
   }
 
@@ -61,7 +61,7 @@ class MetricsSpec extends SparkSpec {
     val s = TestGraphs.handStream
     val part = Array(0, 1, 0, 1, 2, 2, 0, 1)
     val df = Metrics.assignmentDF(spark, s, part)
-    Oracle.assertEquivalent(Metrics.replicationFactorDF(df),
+    Oracle.assertEquivalent(MetricsDF.replicationFactorDF(df),
       """SELECT AVG(np) AS rf, COUNT(*) AS vertices, SUM(np) AS replicas FROM (
         |  SELECT v, COUNT(DISTINCT part) AS np FROM (
         |    SELECT src AS v, part FROM assigned
@@ -75,7 +75,7 @@ class MetricsSpec extends SparkSpec {
     val s = TestGraphs.tiny(spark)
     val part = new repro.partitioners.HashingPartitioner().partition(s, 16).part
     val df = Metrics.assignmentDF(spark, s, part)
-    Oracle.assertEquivalent(Metrics.partitionSizesDF(df),
+    Oracle.assertEquivalent(MetricsDF.partitionSizesDF(df),
       "SELECT part, COUNT(*) AS edges FROM assigned GROUP BY part ORDER BY part",
       "assigned" -> df)
   }

@@ -81,7 +81,7 @@ class GasEngineSpec extends SparkSpec {
     val (labels, iters) = GasEngine.connectedComponents(spark, df)
     assert(iters > 0)
     val got = labels.collect().map(r => (r.getLong(0).toInt, r.getLong(1).toInt)).toMap
-    val ref = GasEngine.connectedComponentsReference(s.src, s.dst, s.numVertices)
+    val ref = ReferenceComponents.labels(s.src, s.dst, s.numVertices)
     // compare component *partitions* (label choice may differ): group both
     val gotGroups = got.toSeq.groupBy(_._2).values.map(_.map(_._1).toSet).toSet
     val refGroups = ref.indices.filter(got.contains).groupBy(ref(_)).values.map(_.toSet).toSet

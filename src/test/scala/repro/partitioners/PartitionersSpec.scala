@@ -156,6 +156,17 @@ class PartitionersSpec extends SparkSpec {
            new DbhPartitioner().partition(s, 256).spaceBytes)
   }
 
+  test("Greedy and HDRF place every edge within the capacity bound when k exceeds |E|") {
+    val s = TestGraphs.tiny(spark).take(50)
+    for (k <- Seq(51, 64, 1000); algo <- Seq(new GreedyPartitioner, new HdrfPartitioner)) {
+      val part = algo.partition(s, k).part
+      assert(part.length == s.numEdges && part.forall(p => p >= 0 && p < k))
+      val bound = math.ceil(1.02 * s.numEdges / k).toLong
+      val q = Metrics.evaluate(s, part, k)
+      assert(q.partitionSizes.max <= bound, s"${algo.name} k=$k sizes ${q.partitionSizes.max} > $bound")
+    }
+  }
+
   test("preferred stream orders follow §VI-A") {
     assert(new HashingPartitioner().preferredOrder == "random")
     assert(new DbhPartitioner().preferredOrder == "random")
