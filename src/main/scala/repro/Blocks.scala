@@ -1,15 +1,19 @@
 package repro
 
+import scala.annotation.switch
 import scala.collection.mutable.ArrayBuilder
 import scala.reflect.ClassTag
 
 import org.apache.spark.rdd.RDD
-import org.apache.spark.sql.DataFrame
+import org.apache.spark.sql.{DataFrame, InternalRows, SparkSession}
+import org.apache.spark.sql.catalyst.InternalRow
+import org.apache.spark.sql.catalyst.expressions.codegen.UnsafeRowWriter
 import org.apache.spark.sql.classic.ClassicConversions.castToImpl
+import org.apache.spark.sql.types.{DoubleType, IntegerType, LongType, StructField, StructType}
 
 /** Primitive-array helpers shared by the jobs that ship arrays between
-  * blocks: the generator's dedup blocks, the stream build and the GAS
-  * engine's edge and master blocks. */
+  * blocks: the generator's dedup blocks, the stream build, the GAS
+  * engine's edge and master blocks, and the DataFrames built from arrays. */
 private[repro] object Blocks {
 
   /** The `names` columns of `df` cast to long, one primitive array each per
@@ -27,6 +31,64 @@ private[repro] object Blocks {
       }
       Iterator((columns.map(_.result()), nullColumn))
     }
+
+  /** A DataFrame of `schema` holding the rows of `blocks`, in block order:
+    * row `i` of a block is element `i` of each of its columns, one per
+    * field, an `Array[Long]`, `Array[Int]` or `Array[Double]` of the
+    * field's type (an `Array[Int]` may fill a long field). The one way
+    * arrays become a DataFrame, the reverse of [[readLongs]]: each task
+    * writes every row into one reused `UnsafeRow`, as Spark's own row
+    * serializer does, so no `Row` is built or boxed. Every value is written
+    * non-null.
+    *
+    * @throws IllegalArgumentException in the task, if a column's type
+    *         does not fit its field
+    */
+  def writeColumns(spark: SparkSession, blocks: RDD[_ <: Seq[Array[_]]], schema: StructType): DataFrame = {
+    val fields = schema.fields
+    InternalRows.toDF(spark, blocks.mapPartitions { it =>
+      val w = new UnsafeRowWriter(fields.length)
+      it.flatMap { block =>
+        val columns = block.map(c => c: AnyRef).toArray
+        val kinds = fields.indices.map(c => columnKind(columns(c), fields(c))).toArray
+        val n = java.lang.reflect.Array.getLength(columns(0))
+        new Iterator[InternalRow] {
+          private var i = 0
+          def hasNext: Boolean = i < n
+          def next(): InternalRow = {
+            w.reset(); w.zeroOutNullBytes()
+            var c = 0
+            while (c < kinds.length) {
+              (kinds(c): @switch) match {
+                case LongColumn   => w.write(c, columns(c).asInstanceOf[Array[Long]](i))
+                case IntAsLong    => w.write(c, columns(c).asInstanceOf[Array[Int]](i).toLong)
+                case IntColumn    => w.write(c, columns(c).asInstanceOf[Array[Int]](i))
+                case DoubleColumn => w.write(c, columns(c).asInstanceOf[Array[Double]](i))
+              }
+              c += 1
+            }
+            i += 1
+            w.getRow
+          }
+        }
+      }
+    }, schema)
+  }
+
+  private final val LongColumn = 0
+  private final val IntAsLong = 1
+  private final val IntColumn = 2
+  private final val DoubleColumn = 3
+
+  /** How [[writeColumns]] writes `column` into `field`. */
+  private def columnKind(column: AnyRef, field: StructField): Int = (column, field.dataType) match {
+    case (_: Array[Long], LongType)      => LongColumn
+    case (_: Array[Int], LongType)       => IntAsLong
+    case (_: Array[Int], IntegerType)    => IntColumn
+    case (_: Array[Double], DoubleType)  => DoubleColumn
+    case _ => throw new IllegalArgumentException(
+      s"a ${column.getClass.getSimpleName} column cannot fill ${field.name}: ${field.dataType.simpleString}")
+  }
 
   /** @throws IllegalArgumentException naming the first of `nullColumns` */
   def requireNoNull(nullColumns: Iterable[Option[String]]): Unit =

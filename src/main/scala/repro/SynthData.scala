@@ -4,10 +4,10 @@ import scala.collection.mutable.ArrayBuilder
 import scala.util.hashing.MurmurHash3
 
 import org.apache.spark.HashPartitioner
-import org.apache.spark.sql.{DataFrame, Row, SparkSession}
+import org.apache.spark.sql.{DataFrame, SparkSession}
 import org.apache.spark.sql.functions._
 import org.apache.spark.sql.types._
-import repro.Blocks.{LongIndex, bySender}
+import repro.Blocks.{LongIndex, bySender, writeColumns}
 
 /** The synthetic web graphs that stand in for the paper's WebGraph crawls
   * (Table III): [[webGraph]], a deterministic power-law generator with
@@ -54,7 +54,8 @@ object SynthData {
     * Columns: `src: Long, dst: Long, id: Long` (1-based vertex ids), non-null.
     *
     * @throws IllegalArgumentException if `nVertices` is outside
-    *         `[1, Int.MaxValue]`, `nEdges < 0`, `hostSize < 1`, `pIntra`,
+    *         `[1, Int.MaxValue]`, `nEdges` outside `[0, 16·Int.MaxValue]`
+    *         (a slice's ids must span an `Int`), `hostSize < 1`, `pIntra`,
     *         `pNear` or their sum is outside `[0, 1]`, or a `q` equals 1
     */
   def webGraph(spark: SparkSession, nVertices: Long, nEdges: Long,
@@ -64,7 +65,8 @@ object SynthData {
                seed: Long = 42): DataFrame = {
     require(nVertices >= 1 && nVertices <= Int.MaxValue,
       s"nVertices must be in [1, ${Int.MaxValue}], got $nVertices")
-    require(nEdges >= 0, s"nEdges must be >= 0, got $nEdges")
+    require(nEdges >= 0 && nEdges <= Slices.toLong * Int.MaxValue,
+      s"nEdges must be in [0, ${Slices.toLong * Int.MaxValue}], got $nEdges")
     require(hostSize >= 1, s"hostSize must be >= 1, got $hostSize")
     require(pIntra >= 0 && pIntra <= 1, s"pIntra must be in [0, 1], got $pIntra")
     require(pNear >= 0 && pNear <= 1, s"pNear must be in [0, 1], got $pNear")
@@ -74,11 +76,11 @@ object SynthData {
     val draw = WebGraphDraw(nVertices, nEdges, hostSize, pIntra, pNear, hostOffsetScale,
                             qOut, qIn, qIntra, seed)
     val slices = Slices
-    val rows = spark.sparkContext.parallelize(0 until slices, slices)
+    val blocks = spark.sparkContext.parallelize(0 until slices, slices)
       .flatMap(draw.slice(_, slices))
       .partitionBy(new HashPartitioner(slices))
-      .mapPartitions(msgs => WebGraphDraw.firstCopies(bySender(slices, msgs)))
-    spark.createDataFrame(rows, EdgeSchema)
+      .mapPartitions(msgs => Iterator(draw.firstCopies(bySender(slices, msgs), slices)))
+    writeColumns(spark, blocks, EdgeSchema)
   }
 
   /** Slice and block count of [[webGraph]], fixed so its edges do not
@@ -167,8 +169,8 @@ private final case class WebGraphDraw(
   import WebGraphDraw.{Edges, Zipf}
 
   /** The edges of slice `p` of `slices`, self-loops dropped, routed to
-    * dedup block `src mod slices`: one message `(block, (p, (src, dst,
-    * id)))` per block that gets edges. */
+    * dedup block `src mod slices`: one message `(block, (p, (keys,
+    * offsets)))` per block that gets edges, 12 bytes per edge. */
   def slice(p: Int, slices: Int): Iterator[(Int, (Int, Edges))] = {
     val nHosts = (nV + hostSize - 1) / hostSize
     val (srcRank, hubRank, slotRank) = (new Zipf(nV, qOut), new Zipf(nV, qIn), new Zipf(hostSize, qIntra))
@@ -177,11 +179,11 @@ private final case class WebGraphDraw(
     // the plan used the offset magnitude twice inside `when`, and codegen
     // gave each use its own rand(seed + 4) state, drawn only on its branch
     val (negOffU, posOffU) = (rand(4), rand(4))
-    val src = Array.fill(slices)(new ArrayBuilder.ofLong)
-    val dst = Array.fill(slices)(new ArrayBuilder.ofLong)
-    val ids = Array.fill(slices)(new ArrayBuilder.ofLong)
-    var id = SynthData.sliceStart(nEdges, slices, p)
+    val keys = Array.fill(slices)(new ArrayBuilder.ofLong)
+    val offsets = Array.fill(slices)(new ArrayBuilder.ofInt)
+    val start = SynthData.sliceStart(nEdges, slices, p)
     val end = SynthData.sliceStart(nEdges, slices, p + 1)
+    var id = start
     while (id < end) {
       // every state draws as in the plan; only the branch `mix` picks pays
       // for its Zipf pow or offset log
@@ -205,18 +207,44 @@ private final case class WebGraphDraw(
         } else hubRank(uHub)
       if (s != d) {
         val b = (s % slices).toInt
-        src(b).addOne(s); dst(b).addOne(d); ids(b).addOne(id)
+        keys(b).addOne(s << 32 | d); offsets(b).addOne((id - start).toInt)
       }
       id += 1
     }
-    (0 until slices).iterator.map(b => (b, (p, (src(b).result(), dst(b).result(), ids(b).result()))))
+    (0 until slices).iterator.map(b => (b, (p, (keys(b).result(), offsets(b).result()))))
       .filter(_._2._2._1.nonEmpty)
+  }
+
+  /** The first copy of each edge among the messages of `slices` slices,
+    * indexed by sender, which arrive in slice order and so in id order: the
+    * copy with the lowest id, a key's first insert. Columns `(src, dst,
+    * id)`, in id order. */
+  def firstCopies(bySlice: Array[Edges], slices: Int): Seq[Array[Long]] = {
+    val n = bySlice.iterator.filter(_ != null).map(_._1.length).sum
+    val (src, dst, id) = (new Array[Long](n), new Array[Long](n), new Array[Long](n))
+    val seen = new LongIndex("edges", n)
+    for (p <- bySlice.indices if bySlice(p) != null) {
+      val (keys, offsets) = bySlice(p)
+      val start = SynthData.sliceStart(nEdges, slices, p)
+      var e = 0
+      while (e < keys.length) {
+        val kept = seen.size
+        if (seen.add(keys(e)) == kept) {
+          src(kept) = keys(e) >>> 32; dst(kept) = keys(e) & 0xFFFFFFFFL; id(kept) = start + offsets(e)
+        }
+        e += 1
+      }
+    }
+    Seq(src, dst, id).map(java.util.Arrays.copyOf(_, seen.size))
   }
 }
 
 private object WebGraphDraw {
-  /** Edges as `(src, dst, id)` columns. */
-  type Edges = (Array[Long], Array[Long], Array[Long])
+  /** Edges as columns: the key `src << 32 | dst`, which fits a `Long`
+    * because `src` and `dst` lie in `[1, Int.MaxValue]`, and the id's
+    * offset from its slice's first id, which fits an `Int` because a slice
+    * spans at most `Int.MaxValue` ids. */
+  type Edges = (Array[Long], Array[Int])
 
   /** Bounded-Zipf rank draw: a rank in `[1, n]` with pmf ∝ `r^(-q)`
     * (q ≠ 1), via the inverse CDF `r = (1 + u·(n^(1−q) − 1))^(1/(1−q))`.
@@ -228,22 +256,6 @@ private object WebGraphDraw {
     private val a = math.pow(n.toDouble, 1.0 - q) - 1.0
     private val e = 1.0 / (1.0 - q)
     def apply(u: Double): Long = math.min(n, math.max(1L, StrictMath.pow(u * a + 1.0, e).toLong))
-  }
-
-  /** The first copy of each `(src, dst)` among the slices' edges, which
-    * arrive in slice order and so in id order: the copy with the lowest
-    * id. Rows come out in id order. */
-  def firstCopies(slices: Array[Edges]): Iterator[Row] = {
-    val chunks = slices.filter(_ != null).toIndexedSeq
-    val src = Array.concat(chunks.map(_._1): _*)
-    val dst = Array.concat(chunks.map(_._2): _*)
-    val id = Array.concat(chunks.map(_._3): _*)
-    // src and dst lie in [1, Int.MaxValue], so the pair fits one key; a
-    // key's first insert is its lowest-id copy
-    val seen = new LongIndex("edges", src.length)
-    Iterator.range(0, src.length)
-      .filter { e => val n = seen.size; seen.add((src(e) << 32) | dst(e)) == n }
-      .map(e => Row(src(e), dst(e), id(e)))
   }
 }
 

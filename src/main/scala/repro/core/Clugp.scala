@@ -1,6 +1,7 @@
 package repro.core
 
-import org.apache.spark.sql.{DataFrame, Row, SparkSession}
+import org.apache.spark.sql.{DataFrame, SparkSession}
+import repro.Blocks.writeColumns
 import repro.partitioners.{PartitionAssignment, StreamingPartitioner}
 
 /** How pass 2 maps clusters to partitions. */
@@ -125,10 +126,9 @@ object Clugp {
                            numSlices: Int = 8): DataFrame = {
     require(k >= 1, s"number of partitions must be >= 1, got $k")
     require(numSlices >= 1, s"number of slices must be >= 1, got $numSlices")
-    val rows = EdgeStream.slices(edges, numSlices).flatMap { case (run, local) =>
-      val part = new Clugp(cfg).partition(local, k).part
-      Iterator.range(0, run.size).map(e => Row(run.id(e), run.src(e), run.dst(e), part(e)))
+    val blocks = EdgeStream.slices(edges, numSlices).map { case (run, local) =>
+      Seq(run.id, run.src, run.dst, new Clugp(cfg).partition(local, k).part)
     }
-    spark.createDataFrame(rows, Metrics.AssignmentSchema)
+    writeColumns(spark, blocks, Metrics.AssignmentSchema)
   }
 }

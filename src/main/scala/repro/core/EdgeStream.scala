@@ -175,11 +175,18 @@ object EdgeStream {
   }
 
   /** Positions `0 until src.length` sorted by `(src, id)`, ties in position
-    * order: two stable counting passes, by id rank and then by src rank. */
+    * order: two stable counting passes, by id rank and then by src rank.
+    * Where the ids never decrease, as the generator emits them, position
+    * order is already id order and the src pass alone is enough. */
   private def stableOrder(src: Array[Long], id: Array[Long]): Array[Int] = {
-    val (idRank, idCount) = denseRanks(id, "edge ids")
+    val byId =
+      if ((1 until id.length).forall(e => id(e - 1) <= id(e))) Array.range(0, src.length)
+      else {
+        val (idRank, idCount) = denseRanks(id, "edge ids")
+        countingSort(Array.range(0, src.length), idRank, idCount)
+      }
     val (srcRank, srcCount) = denseRanks(src, "sources")
-    countingSort(countingSort(Array.range(0, src.length), idRank, idCount), srcRank, srcCount)
+    countingSort(byId, srcRank, srcCount)
   }
 
   /** The rank of each value of `a` among its distinct values, and their

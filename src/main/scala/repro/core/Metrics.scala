@@ -1,7 +1,8 @@
 package repro.core
 
-import org.apache.spark.sql.{DataFrame, Row, SparkSession}
+import org.apache.spark.sql.{DataFrame, SparkSession}
 import org.apache.spark.sql.types.{IntegerType, LongType, StructField, StructType}
+import repro.Blocks.writeColumns
 
 /** Partition-quality metrics of paper §II-B, the one summary of a placement.
   *
@@ -91,7 +92,7 @@ object Metrics {
   /** DataFrame `(id, src, dst, part)` from a stream + assignment, the
     * input of the GAS engine. Rows are in edge order; each of
     * `defaultParallelism` slices ships one contiguous range of the
-    * primitive arrays and builds its rows in the task. */
+    * primitive arrays, which `Blocks.writeColumns` writes as rows. */
   def assignmentDF(spark: SparkSession, stream: EdgeStream, part: Array[Int]): DataFrame = {
     require(part.length == stream.numEdges,
       s"assignment length ${part.length} != |E| ${stream.numEdges}")
@@ -101,10 +102,10 @@ object Metrics {
       val (lo, hi) = ((n * c / slices).toInt, (n * (c + 1) / slices).toInt)
       (lo, stream.src.slice(lo, hi), stream.dst.slice(lo, hi), part.slice(lo, hi))
     }
-    val rows = spark.sparkContext.parallelize(ranges, slices).flatMap { case (lo, s, d, p) =>
-      s.indices.iterator.map(i => Row((lo + i).toLong, s(i).toLong, d(i).toLong, p(i)))
+    val blocks = spark.sparkContext.parallelize(ranges, slices).map { case (lo, s, d, p) =>
+      Seq(Array.range(lo, lo + s.length), s, d, p)
     }
-    spark.createDataFrame(rows, AssignmentSchema)
+    writeColumns(spark, blocks, AssignmentSchema)
   }
 
   private[core] val AssignmentSchema = StructType(Seq(

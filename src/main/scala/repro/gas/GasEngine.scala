@@ -1,9 +1,10 @@
 package repro.gas
 
 import org.apache.spark.rdd.RDD
-import org.apache.spark.sql.{DataFrame, Row, SparkSession}
+import org.apache.spark.sql.{DataFrame, SparkSession}
 import org.apache.spark.sql.types.{DataType, DoubleType, LongType, StructField, StructType}
 
+import repro.Blocks.writeColumns
 import BlockGraph.only
 
 /** PowerGraph-like Gather-Apply-Scatter engine over a vertex-cut
@@ -152,11 +153,10 @@ object GasEngine {
     next
   }
 
-  /** Rows `(v, name)` of the result blocks. */
+  /** Rows `(v, name)` of the result blocks, values of `valueType` unboxed. */
   private def resultDF[A](spark: SparkSession, blocks: RDD[(Array[Long], Array[A])], name: String,
                           valueType: DataType): DataFrame =
-    spark.createDataFrame(
-      blocks.flatMap { case (ids, values) => ids.indices.iterator.map(i => Row(ids(i), values(i))) },
+    writeColumns(spark, blocks.map { case (ids, values) => Seq(ids, values) },
       StructType(Seq(StructField("v", LongType, nullable = false),
         StructField(name, valueType, nullable = false))))
 

@@ -1,5 +1,9 @@
 package repro
 
+import java.util.concurrent.atomic.AtomicInteger
+
+import org.apache.spark.SpecBus
+import org.apache.spark.scheduler.{SparkListener, SparkListenerJobStart}
 import org.apache.spark.sql.functions._
 import repro.core.EdgeStream
 
@@ -80,6 +84,21 @@ class SynthDataSpec extends SparkSpec {
 
   test("webGraph rejects a negative nEdges") {
     rejects("nEdges")(SynthData.webGraph(spark, 10, -1))
+  }
+
+  test("webGraph rejects an nEdges past 16 slices of Int.MaxValue ids before any Spark job") {
+    val sc = spark.sparkContext
+    val started = new AtomicInteger
+    val listener = new SparkListener {
+      override def onJobStart(e: SparkListenerJobStart): Unit = started.incrementAndGet()
+    }
+    SpecBus.drain(sc)
+    sc.addSparkListener(listener)
+    try {
+      rejects("nEdges")(SynthData.webGraph(spark, 10, 16L * Int.MaxValue + 1))
+      SpecBus.drain(sc)
+      assert(started.get == 0)
+    } finally sc.removeSparkListener(listener)
   }
 
   test("webGraph rejects hostSize < 1") {

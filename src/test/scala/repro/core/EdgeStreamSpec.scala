@@ -1,5 +1,6 @@
 package repro.core
 
+import org.apache.spark.sql.DataFrame
 import repro.{Oracle, SparkSpec, TestGraphs}
 
 class EdgeStreamSpec extends SparkSpec {
@@ -78,21 +79,50 @@ class EdgeStreamSpec extends SparkSpec {
     val df = rows.toDF("src", "dst", "id").repartition(5).cache()
     try {
       val held = df.select($"src", $"dst", $"id", spark_partition_id() as "p").collect()
-        .map(r => (r.getLong(0), r.getLong(1), r.getLong(2), r.getInt(3)))
+        .map(r => (r.getLong(0), r.getLong(1), r.getLong(2), r.getInt(3))).toSeq
       // the input is general: ids out of order within a partition, and
       // equal (src, id) keys in more than one partition
       assert(held.groupBy(_._4).values.exists(p => p.map(_._3).toSeq != p.map(_._3).sorted.toSeq))
       assert(held.groupBy(r => (r._1, r._3)).values.exists(_.map(_._4).distinct.length > 1))
 
-      val sorted = held.sortBy(r => (r._1, r._3)) // stable: ties in partition order
-      val label = scala.collection.mutable.HashMap.empty[Long, Int]
-      def relabel(v: Long) = label.getOrElseUpdate(v, label.size)
-      val want = sorted.map(r => { val u = relabel(r._1); (u, relabel(r._2)) })
-      val s = EdgeStream.fromDF(df)
-      assert(s.numVertices == label.size)
-      assert(s.src.toSeq == want.map(_._1).toSeq)
-      assert(s.dst.toSeq == want.map(_._2).toSeq)
+      assertStableSortAndRelabel(df, held)
     } finally df.unpersist()
+  }
+
+  /** Asserts `fromDF(df)` is the stable sort of `held` (`src, dst, id,
+    * partition` in read order) by `(src, id)`, ties in partition order,
+    * relabelled by first appearance. */
+  private def assertStableSortAndRelabel(df: DataFrame, held: Seq[(Long, Long, Long, Int)]): Unit = {
+    val sorted = held.sortBy(r => (r._1, r._3)) // stable: ties in partition order
+    val label = scala.collection.mutable.HashMap.empty[Long, Int]
+    def relabel(v: Long) = label.getOrElseUpdate(v, label.size)
+    val want = sorted.map(r => { val u = relabel(r._1); (u, relabel(r._2)) })
+    val s = EdgeStream.fromDF(df)
+    assert(s.numVertices == label.size)
+    assert(s.src.toSeq == want.map(_._1))
+    assert(s.dst.toSeq == want.map(_._2))
+  }
+
+  test("fromDF of partitions whose ids never decrease equals the stable (src, id) sort") {
+    import spark.implicits._
+    val rnd = new scala.util.Random(5)
+    val pool = Array(Long.MinValue, -7L, 0L, 3L, 1L << 40, Long.MaxValue)
+    // five partitions of ascending ids with repeats, over one small id range,
+    // so equal (src, id) keys sit in more than one partition
+    val ascending = Seq.tabulate(5)(p => Seq.fill(400)(rnd.nextInt(60).toLong).sorted
+      .map(id => (pool(rnd.nextInt(pool.length)), rnd.nextLong(), id)))
+    // its destinations are labelled before it, so a swap would show
+    val descending = Seq((3L, -7L, 9L), (3L, 0L, 8L), (0L, 5L, 9L))
+    for ((parts, idsAscend) <- Seq(ascending -> true, (ascending :+ descending) -> false)) {
+      val held = parts.zipWithIndex.flatMap { case (rows, p) => rows.map(r => (r._1, r._2, r._3, p)) }
+      val df = spark.sparkContext.parallelize(parts.indices, parts.length).flatMap(parts(_)).toDF("src", "dst", "id")
+      assert(df.rdd.getNumPartitions == parts.length)
+      assert(parts.forall(rows => rows.map(_._3) == rows.map(_._3).sorted) == idsAscend)
+      assert(parts.exists(rows => rows.map(_._3).distinct.length < rows.length), "ids repeat in a partition")
+      assert(held.groupBy(r => (r._1, r._3)).values.exists(_.map(_._4).distinct.length > 1),
+        "equal (src, id) keys in more than one partition")
+      assertStableSortAndRelabel(df, held)
+    }
   }
 
   test("fromDF rejects a null src, dst or id") {
