@@ -20,12 +20,13 @@ class F10ParallelizationBench extends SparkSpec {
     s"${(0 until cg.numClusters).count(cg.isPlayer)}/${cg.numClusters}"
   }
 
-  private def gameTime(threads: Int, batch: Int): (Long, Double) = {
+  /** Milliseconds of the game alone and of the cluster-graph build before
+    * it, and the RF. */
+  private def gameTime(threads: Int, batch: Int): (Long, Long, Double) = {
     val s = BenchData.stream(spark, "it-lite")
     val k = 64
-    val c = new Clugp(ClugpConfig(gameMode = ParallelGame(batch, threads)))
-    val q = Metrics.evaluate(s, c.partition(s, k).part, k)
-    (c.lastStats.gameMs, q.replicationFactor)
+    val run = Clugp.passes(s, k, ClugpConfig(gameMode = ParallelGame(batch, threads)))
+    (run.gameMs, run.cgraphMs, Metrics.evaluate(s, run.part, k).replicationFactor)
   }
 
   test("Fig 10a: game time vs number of threads") {
@@ -33,11 +34,11 @@ class F10ParallelizationBench extends SparkSpec {
     // more threads than cores only queue behind each other
     val threads = Seq(1, 2, 4, 8, 16).filter(_ <= nproc)
     val rows = for (t <- threads) yield {
-      val (ms, rf) = gameTime(t, batch)
-      Seq(t.toString, ms.toString, f"$rf%.3f", players, nproc.toString)
+      val (ms, cgraphMs, rf) = gameTime(t, batch)
+      Seq(t.toString, ms.toString, f"$rf%.3f", players, nproc.toString, cgraphMs.toString)
     }
     BenchData.emit("F10a game time vs threads (it-lite, k=64, batch=6400)",
-      Seq("threads", "game_ms", "rf", "players", "nproc"), rows)
+      Seq("threads", "game_ms", "rf", "players", "nproc", "cgraph_ms"), rows)
     val t = rows.map(r => r(0).toInt -> r(1).toLong).toMap
     // more threads should not be slower overall (paper: good speedup);
     // allow generous noise at millisecond scales
@@ -50,11 +51,11 @@ class F10ParallelizationBench extends SparkSpec {
   test("Fig 10b: game time vs batch size") {
     val threads = math.min(8, nproc)
     val rows = for (b <- Seq(800, 3200, 6400, 25600)) yield {
-      val (ms, rf) = gameTime(threads, b)
-      Seq(b.toString, ms.toString, f"$rf%.3f", players, nproc.toString)
+      val (ms, cgraphMs, rf) = gameTime(threads, b)
+      Seq(b.toString, ms.toString, f"$rf%.3f", players, nproc.toString, cgraphMs.toString)
     }
     BenchData.emit(s"F10b game time vs batch size (it-lite, k=64, $threads threads)",
-      Seq("batch", "game_ms", "rf", "players", "nproc"), rows)
+      Seq("batch", "game_ms", "rf", "players", "nproc", "cgraph_ms"), rows)
     // runtime stays within a small factor across a 32× batch range
     val times = rows.map(_(1).toLong)
     assert(times.max <= math.max(200, times.min * 6),

@@ -134,8 +134,8 @@ object Main {
 
     val cfg = ClugpConfig()
     for (split <- Seq(true, false)) {
-      val cl = StreamingClustering.cluster(stream, cfg.vMax(stream.numEdges, k), split)
-      val cg = ClusterGraph.build(stream, cl)
+      val run = Clugp.passes(stream, k, cfg.copy(splitting = split))
+      val cl = run.clustering; val cg = run.clusterGraph
       val occ = cl.numOccupiedClusters
       val intraKept = stream.src.indices.count(i =>
         intraHostEdge(i) && cl.clu(stream.src(i)) == cl.clu(stream.dst(i)))
@@ -160,10 +160,8 @@ object Main {
         Metrics.evaluate(stream, part, kk).replicationFactor
       }
       def partCut(split: Boolean): Double = {
-        val cl = StreamingClustering.cluster(stream, cfg.vMax(stream.numEdges, kk), split)
-        val cg0 = ClusterGraph.build(stream, cl)
-        val placed = ClusterPartitioning.parallelGame(cg0, kk, cfg.lambda(cg0.lambdaMax(kk)))
-        val a = placed.assignment
+        val run = Clugp.passes(stream, kk, cfg.copy(splitting = split))
+        val cl = run.clustering; val a = run.placed.assignment
         stream.src.indices.count(i =>
           a(cl.clu(stream.src(i))) != a(cl.clu(stream.dst(i)))).toDouble / stream.numEdges
       }
@@ -176,11 +174,10 @@ object Main {
            ("greedy", GreedyPlacement));
          init <- Seq[InitStrategy](RangeInit, RandomInit);
          w <- Seq(0.1, 0.5, 0.9)) {
-      val clugp = new Clugp(ClugpConfig(gameMode = mode, init = init, weight = w))
-      val q = Metrics.evaluate(stream, clugp.partition(stream, k).part, k)
-      val st = clugp.lastStats
+      val run = Clugp.passes(stream, k, ClugpConfig(gameMode = mode, init = init, weight = w))
+      val q = Metrics.evaluate(stream, run.part, k)
       println(f"game=$label%-10s init=$init%-10s w=$w rf=${q.replicationFactor}%.3f " +
-        f"bal=${q.relativeBalance}%.3f rounds=${st.gameRounds} moves=${st.gameMoves}")
+        f"bal=${q.relativeBalance}%.3f rounds=${run.placed.rounds} moves=${run.placed.moves}")
     }
   }
 }

@@ -6,9 +6,10 @@ import repro.partitioners.{PartitionAssignment, StreamingPartitioner}
 
 /** How pass 2 maps clusters to partitions. */
 sealed trait GameMode
-/** Paper §V-D: consecutive-id batches played by a thread pool. One batch
-  * on one thread (`ParallelGame(Int.MaxValue, 1)`) is the sequential game
-  * over all clusters, [[ClusterPartitioning.game]]. */
+/** Paper §V-D: consecutive-id batches played by a thread pool
+  * ([[ClusterPartitioning.parallelGame]]). One batch on one thread
+  * (`ParallelGame(Int.MaxValue, 1)`) is the sequential game over all
+  * clusters. */
 final case class ParallelGame(batchSize: Int = 6400, threads: Int = 8) extends GameMode
 /** CLUGP-G ablation: big-cluster-to-small-partition greedy, no game. */
 case object GreedyPlacement extends GameMode
@@ -50,11 +51,23 @@ final case class ClugpConfig(
   def lambda(lambdaMax: Double): Double = lambdaMax * (weight / (1.0 - weight))
 }
 
-/** Per-pass timing and sizes of one CLUGP run, for the scalability and
-  * parallelization experiments (Figs. 7 and 10). */
-final case class ClugpStats(
-    clusteringMs: Long, gameMs: Long, transformMs: Long,
-    numClusters: Int, gameRounds: Long, gameMoves: Long)
+/** One CLUGP run, pass by pass (§III): what each pass produced, and the
+  * wall time of each pass alone, in milliseconds.
+  *
+  * @param clustering   pass 1's clusters
+  * @param clusterGraph the cluster multigraph pass 2 plays on
+  * @param placed       pass 2's cluster → partition map, rounds and moves
+  * @param part         pass 3's partition id per edge, parallel to the stream
+  * @param spaceBytes   bytes of state the run held, as in [[PartitionAssignment]]
+  * @param pass1Ms      pass 1, the streaming clustering
+  * @param cgraphMs     the cluster-graph build
+  * @param gameMs       pass 2 alone: the game, or CLUGP-G's greedy placement
+  * @param pass3Ms      pass 3, the partition transformation
+  */
+final case class ClugpRun(
+    clustering: ClusteringResult, clusterGraph: ClusterGraph, placed: ClusterPartitioningResult,
+    part: Array[Int], spaceBytes: Long,
+    pass1Ms: Long, cgraphMs: Long, gameMs: Long, pass3Ms: Long)
 
 /** The paper's contribution: CLUstering-based restreaming Graph
   * Partitioning — three passes over the edge stream (cluster, play the
@@ -68,34 +81,9 @@ final class Clugp(cfg: ClugpConfig = ClugpConfig()) extends StreamingPartitioner
   }
   override def preferredOrder: String = "bfs"
 
-  /** Last run's per-pass stats (set by [[partition]]). */
-  @volatile var lastStats: ClugpStats = ClugpStats(0, 0, 0, 0, 0, 0)
-
-  override def partition(stream: EdgeStream, k: Int): PartitionAssignment = {
-    require(k >= 1, s"number of partitions must be >= 1, got $k")
-    val t0 = System.nanoTime()
-    // pass 1: streaming clustering
-    val clustering = StreamingClustering.cluster(stream, cfg.vMax(stream.numEdges, k), cfg.splitting)
-    val t1 = System.nanoTime()
-    // pass 2: cluster partitioning game (on the cluster multigraph)
-    val cg = ClusterGraph.build(stream, clustering)
-    val lambda = cfg.lambda(cg.lambdaMax(k))
-    val placed = cfg.gameMode match {
-      case ParallelGame(b, t) => ClusterPartitioning.parallelGame(cg, k, lambda, b, t, cfg.seed, init = cfg.init)
-      case GreedyPlacement    => ClusterPartitioning.greedy(cg, k)
-    }
-    val t2 = System.nanoTime()
-    // pass 3: partition transformation
-    val part = PartitionTransformation.transform(stream, clustering, placed.assignment, k, cfg.tau)
-    val t3 = System.nanoTime()
-
-    lastStats = ClugpStats((t1 - t0) / 1000000, (t2 - t1) / 1000000, (t3 - t2) / 1000000,
-      clustering.numClusters, placed.rounds, placed.moves)
-    // space: clu + deg arrays (the paper's O(2|V|)) + divided flags +
-    // cluster volumes + game tables
-    val space = 8L * stream.numVertices + stream.numVertices +
-      8L * clustering.numClusters + 4L * clustering.numClusters + 8L * k
-    PartitionAssignment(part, space, (t3 - t0) / 1000000)
+  override protected def assign(stream: EdgeStream, k: Int): (Array[Int], Long) = {
+    val run = Clugp.passes(stream, k, cfg)
+    (run.part, run.spaceBytes)
   }
 }
 
@@ -104,6 +92,30 @@ object Clugp {
   /** Convenience single-node run with paper defaults. */
   def run(stream: EdgeStream, k: Int, cfg: ClugpConfig = ClugpConfig()): PartitionAssignment =
     new Clugp(cfg).partition(stream, k)
+
+  /** The three passes over `stream`, each timed on its own. Pass 2 and
+    * pass 3 reject a `k` below 1. */
+  def passes(stream: EdgeStream, k: Int, cfg: ClugpConfig = ClugpConfig()): ClugpRun = {
+    def clock[A](pass: => A): (A, Long) = {
+      val t0 = System.nanoTime()
+      (pass, (System.nanoTime() - t0) / 1000000)
+    }
+    val (clustering, pass1Ms) = clock(
+      StreamingClustering.cluster(stream, cfg.vMax(stream.numEdges, k), cfg.splitting))
+    val (cg, cgraphMs) = clock(ClusterGraph.build(stream, clustering))
+    val (placed, gameMs) = clock(cfg.gameMode match {
+      case ParallelGame(b, t) =>
+        ClusterPartitioning.parallelGame(cg, k, cfg.lambda(cg.lambdaMax(k)), b, t, cfg.seed, init = cfg.init)
+      case GreedyPlacement => ClusterPartitioning.greedy(cg, k)
+    })
+    val (part, pass3Ms) = clock(
+      PartitionTransformation.transform(stream, clustering, placed.assignment, k, cfg.tau))
+    // space: clu + deg arrays (the paper's O(2|V|)) + divided flags +
+    // cluster volumes + game tables
+    val space = 8L * stream.numVertices + stream.numVertices +
+      8L * clustering.numClusters + 4L * clustering.numClusters + 8L * k
+    ClugpRun(clustering, cg, placed, part, space, pass1Ms, cgraphMs, gameMs, pass3Ms)
+  }
 
   /** Distributed mode (paper §III-C last ¶): each distributed node runs
     * the three passes over its slice of the edge stream, and the final
@@ -127,7 +139,7 @@ object Clugp {
     require(k >= 1, s"number of partitions must be >= 1, got $k")
     require(numSlices >= 1, s"number of slices must be >= 1, got $numSlices")
     val blocks = EdgeStream.slices(edges, numSlices).map { case (run, local) =>
-      Seq(run.id, run.src, run.dst, new Clugp(cfg).partition(local, k).part)
+      Seq(run.id, run.src, run.dst, passes(local, k, cfg).part)
     }
     writeColumns(spark, blocks, Metrics.AssignmentSchema)
   }

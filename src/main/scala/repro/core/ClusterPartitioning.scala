@@ -41,22 +41,15 @@ object ClusterPartitioning {
     * and the cap only guards pathological floating-point cost ties. */
   val MaxRounds = 200
 
-  /** Play the game over the whole cluster graph in one batch. */
-  def game(cg: ClusterGraph, k: Int, lambda: Double, seed: Long = 17,
-           maxRounds: Int = MaxRounds,
-           init: InitStrategy = RangeInit): ClusterPartitioningResult = {
-    require(k >= 1, s"number of partitions must be >= 1, got $k")
-    val out = new Array[Int](cg.numClusters)
-    gameOn(cg, 0, cg.numClusters, k, lambda, seed, maxRounds, init, out)
-  }
-
   /** Paper §V-D parallel mode: consecutive raw-id ranges of `batchSize`
     * cluster ids, each an independent game run on `threads` threads.
     * Each batch balances its own clusters over the same k logical
     * partitions using only intra-batch structure, and keeps O(batchSize + k)
     * state (its slice of the result, its players, k loads and k cut
     * weights), matching the paper's per-thread accounting. Only clusters
-    * with intra or cut edges play (see [[ClusterGraph.isPlayer]]).
+    * with intra or cut edges play (see [[ClusterGraph.isPlayer]]). One
+    * batch on one thread (`batchSize = Int.MaxValue`, `threads = 1`) is
+    * the sequential game over all clusters.
     */
   def parallelGame(cg: ClusterGraph, k: Int, lambda: Double,
                    batchSize: Int = 6400, threads: Int = 8, seed: Long = 17,

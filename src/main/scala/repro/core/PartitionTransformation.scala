@@ -29,8 +29,7 @@ object PartitionTransformation {
     require(k >= 1, s"number of partitions must be >= 1, got $k")
     val nE = stream.numEdges
     require(tau >= 1.0, s"imbalance factor must be >= 1, got $tau")
-    // ceil so k·L_max ≥ |E| — a below-threshold partition always exists
-    val lMax = math.max(1L, math.ceil(tau * nE / k.toDouble).toLong)
+    val lMax = this.lMax(nE, k, tau)
     val load = new Array[Long](k)
     val out  = new Array[Int](nE)
     val clu = clustering.clu; val deg = clustering.deg; val divided = clustering.divided
@@ -74,4 +73,9 @@ object PartitionTransformation {
     }
     out
   }
+
+  /** The most edges a partition takes, L_max = ⌈τ·|E|/k⌉, at least 1;
+    * ceil so k·L_max ≥ |E| — a below-threshold partition always exists. */
+  private[repro] def lMax(numEdges: Int, k: Int, tau: Double): Long =
+    math.max(1L, math.ceil(tau * numEdges / k.toDouble).toLong)
 }

@@ -25,7 +25,8 @@ object RunResult {
   * the rest) and default parameters. */
 object Runner {
 
-  /** Fresh instances of all competitors (stateful, so per-run). */
+  /** The paper's six partitioners at their default parameters, CLUGP's
+    * game on `gameThreads` threads. */
   def allAlgorithms(gameThreads: Int = 8): Seq[StreamingPartitioner] = Seq(
     new HashingPartitioner,
     new DbhPartitioner,
@@ -35,7 +36,7 @@ object Runner {
     new Clugp(ClugpConfig(gameMode = ParallelGame(threads = gameThreads))),
   )
 
-  /** Fresh CLUGP and its two ablations (Fig. 9): CLUGP-S without the
+  /** CLUGP and its two ablations (Fig. 9): CLUGP-S without the
     * splitting operation, CLUGP-G with greedy placement instead of the game. */
   def ablation: Seq[Clugp] = Seq(
     new Clugp(),

@@ -29,7 +29,6 @@ import repro.Blocks.{LongIndex, bySender, countingSort, readLongs}
   *                  copied; its other vertices follow, up to `groupStart(2m + 2)`
   * @param repStart  replicas of vertices mastered by `m` are
   *                  `repStart(m) until repStart(m + 1)`
-  * @param minPart   min(0, smallest GAS partition id), validated on the driver
   */
 private[gas] final class EdgeBlock(
     val id: Int,
@@ -38,8 +37,7 @@ private[gas] final class EdgeBlock(
     val rep: Array[Int],
     val repVertex: Array[Int],
     val groupStart: Array[Int],
-    val repStart: Array[Int],
-    val minPart: Int) extends Serializable {
+    val repStart: Array[Int]) extends Serializable {
 
   def numEdges: Int = src.length
   def numReplicas: Int = repVertex.length
@@ -87,13 +85,8 @@ private[gas] object EdgeBlock {
     // replica keys (part, dst slot), ordered by master block of dst, then key
     val replicas = new LongIndex("replicas", ne)
     val repV = new Array[Int](ne)
-    var minPart = 0
     e = 0
-    while (e < ne) {
-      repV(e) = replicas.add((part(e).toLong << 32) | slot(dstV(e)))
-      minPart = math.min(minPart, part(e))
-      e += 1
-    }
+    while (e < ne) { repV(e) = replicas.add((part(e).toLong << 32) | slot(dstV(e))); e += 1 }
     val keys = replicas.sortedKeys
     val master = keys.map(k => masterOf(vids(k.toInt), p))
     val byMaster = countingSort(Array.range(0, keys.length), master, p)
@@ -119,7 +112,7 @@ private[gas] object EdgeBlock {
     val rep = new Array[Int](ne)
     e = 0
     while (e < ne) { src(e) = srcSlot(order(e)); rep(e) = edgeRep(order(e)); e += 1 }
-    new EdgeBlock(id, vids, src, rep, repVertex, groupStart, repStart, minPart)
+    new EdgeBlock(id, vids, src, rep, repVertex, groupStart, repStart)
   }
 
   /** The master block of vertex `v`. */
@@ -297,8 +290,8 @@ private[gas] object BlockGraph {
       var e = 0
       while (e < srcs.length) {
         val q = parts(e).toInt
-        if (q != parts(e) && !outside) {
-          rejected.add(s"GAS partition id ${parts(e)} outside the Int range"); outside = true
+        if ((q != parts(e) || q < 0) && !outside) {
+          rejected.add(s"GAS partition id ${parts(e)} outside [0, Int.MaxValue]"); outside = true
         }
         add(srcs(e), dsts(e), q)
         if (undirected) add(dsts(e), srcs(e), q)
@@ -309,16 +302,14 @@ private[gas] object BlockGraph {
     }.partitionBy(partitioner)
     val edges = routed.mapPartitionsWithIndex((b, it) => Iterator(EdgeBlock.build(b, p, it.map(_._2))))
       .persist()
-    val minPart = edges.map(_.minPart).collect().min
-    if (minPart < 0) rejected.add(s"negative GAS partition id $minPart")
-    rejected.value.asScala.headOption.foreach { why =>
-      edges.unpersist(blocking = false)
-      throw new IllegalArgumentException(why)
-    }
     val masters = edges.flatMap(MasterBlock.announce(_, p)).partitionBy(partitioner)
       .mapPartitionsWithIndex((m, it) => Iterator(MasterBlock.build(m, p, it)))
       .persist()
     val n = masters.map(_.ids.length.toLong).collect().sum
+    rejected.value.asScala.headOption.foreach { why =>
+      edges.unpersist(blocking = false); masters.unpersist(blocking = false)
+      throw new IllegalArgumentException(why)
+    }
     new BlockGraph(p, edges, masters, n)
   }
 

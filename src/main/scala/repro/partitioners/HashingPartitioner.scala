@@ -9,7 +9,7 @@ import repro.core.EdgeStream
 final class HashingPartitioner extends StreamingPartitioner {
   override val name = "Hashing"
 
-  override def partition(stream: EdgeStream, k: Int): PartitionAssignment = timed {
+  override protected def assign(stream: EdgeStream, k: Int): (Array[Int], Long) = {
     val out = new Array[Int](stream.numEdges)
     var i = 0
     while (i < out.length) {
@@ -34,7 +34,7 @@ final class HashingPartitioner extends StreamingPartitioner {
 final class DbhPartitioner extends StreamingPartitioner {
   override val name = "DBH"
 
-  override def partition(stream: EdgeStream, k: Int): PartitionAssignment = timed {
+  override protected def assign(stream: EdgeStream, k: Int): (Array[Int], Long) = {
     val nV  = stream.numVertices
     val deg = new Array[Int](nV)
     val out = new Array[Int](stream.numEdges)

@@ -1,6 +1,6 @@
 package repro.partitioners
 
-import repro.core.{EdgeStream, ReplicaTable}
+import repro.core.{EdgeStream, PartitionTransformation, ReplicaTable}
 
 /** PowerGraph's Greedy heuristic (the paper's "Greedy"): place each edge
   * to minimize new replicas, tie-broken by load, under a hard capacity
@@ -11,11 +11,11 @@ import repro.core.{EdgeStream, ReplicaTable}
 final class GreedyPartitioner extends StreamingPartitioner {
   override val name = "Greedy"
 
-  override def partition(stream: EdgeStream, k: Int): PartitionAssignment = timed {
+  override protected def assign(stream: EdgeStream, k: Int): (Array[Int], Long) = {
     val nV = stream.numVertices
     val A = new ReplicaTable(nV, k)
     val load = new Array[Long](k)
-    val capacity = Capacity(stream.numEdges, k)
+    val capacity = PartitionTransformation.lMax(stream.numEdges, k, Capacity.Tau)
     val out = new Array[Int](stream.numEdges)
     var i = 0
     while (i < out.length) {
@@ -71,12 +71,12 @@ final class HdrfPartitioner extends StreamingPartitioner {
 
   override val name = "HDRF"
 
-  override def partition(stream: EdgeStream, k: Int): PartitionAssignment = timed {
+  override protected def assign(stream: EdgeStream, k: Int): (Array[Int], Long) = {
     val nV = stream.numVertices
     val A = new ReplicaTable(nV, k)
     val deg = new Array[Int](nV) // partial degrees
     val load = new Array[Long](k)
-    val capacity = Capacity(stream.numEdges, k)
+    val capacity = PartitionTransformation.lMax(stream.numEdges, k, Capacity.Tau)
     val out = new Array[Int](stream.numEdges)
     val eps = 1.0
     var maxLoad = 0L; var minLoad = 0L
@@ -121,11 +121,8 @@ object HdrfPartitioner {
   val LambdaBal = 1.0
 }
 
-/** The hard capacity bound of Greedy and HDRF: ⌈τ·|E|/k⌉ edges per
-  * partition, at least 1. */
+/** The hard capacity bound of Greedy and HDRF: L_max at τ = [[Capacity.Tau]]. */
 private object Capacity {
   /** τ = 1.02: the paper reports relative balance 1.0 for every algorithm. */
   val Tau = 1.02
-
-  def apply(numEdges: Int, k: Int): Long = math.max(1L, math.ceil(Tau * numEdges / k.toDouble).toLong)
 }

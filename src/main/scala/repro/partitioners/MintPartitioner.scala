@@ -23,7 +23,7 @@ final class MintPartitioner extends StreamingPartitioner {
   override val name = "Mint"
   override def preferredOrder: String = "bfs"
 
-  override def partition(stream: EdgeStream, k: Int): PartitionAssignment = timed {
+  override protected def assign(stream: EdgeStream, k: Int): (Array[Int], Long) = {
     val nE   = stream.numEdges
     val out  = new Array[Int](nE)
     val load = new Array[Long](k)

@@ -24,13 +24,18 @@ trait StreamingPartitioner {
     * CLUGP and Mint, random for the rest); benches honour it. */
   def preferredOrder: String = "random"
 
-  /** Assign each edge of `stream` to a partition in `[0, k)`. */
-  def partition(stream: EdgeStream, k: Int): PartitionAssignment
-
-  /** Helper: time a run and wrap its result. */
-  protected def timed(body: => (Array[Int], Long)): PartitionAssignment = {
+  /** Assign each edge of `stream` to a partition in `[0, k)`, timing the
+    * run.
+    * @throws IllegalArgumentException if `k` is below 1
+    */
+  final def partition(stream: EdgeStream, k: Int): PartitionAssignment = {
+    require(k >= 1, s"number of partitions must be >= 1, got $k")
     val t0 = System.nanoTime()
-    val (part, space) = body
+    val (part, space) = assign(stream, k)
     PartitionAssignment(part, space, (System.nanoTime() - t0) / 1000000)
   }
+
+  /** The algorithm behind [[partition]], for `k >= 1`: the partition id
+    * per edge and the bytes of state held, as in [[PartitionAssignment]]. */
+  protected def assign(stream: EdgeStream, k: Int): (Array[Int], Long)
 }

@@ -51,14 +51,21 @@ class ClugpSpec extends SparkSpec {
     assert(game <= greedy * 1.02, s"game=$game greedy=$greedy")
   }
 
-  test("lastStats reports pass timings and game telemetry") {
+  test("passes equals Clugp.run and reports pass timings and game telemetry") {
     val s = TestGraphs.tiny(spark)
-    val c = new Clugp(ClugpConfig(gameMode = ParallelGame(batchSize = Int.MaxValue, threads = 1)))
-    c.partition(s, 8)
-    val st = c.lastStats
-    assert(st.numClusters > 0)
-    assert(st.clusteringMs >= 0 && st.gameMs >= 0 && st.transformMs >= 0)
-    assert(st.gameRounds > 0)
+    // CLUGP, CLUGP-S, CLUGP-G and the sequential game
+    val configs = Seq(ClugpConfig(), ClugpConfig(splitting = false),
+      ClugpConfig(gameMode = GreedyPlacement),
+      ClugpConfig(gameMode = ParallelGame(batchSize = Int.MaxValue, threads = 1)))
+    for (cfg <- configs) {
+      val r = Clugp.passes(s, 8, cfg)
+      val a = Clugp.run(s, 8, cfg)
+      assert(java.util.Arrays.equals(r.part, a.part), s"$cfg: part")
+      assert(r.spaceBytes == a.spaceBytes, s"$cfg: spaceBytes")
+      assert(r.clustering.numClusters > 0, s"$cfg: clusters")
+      assert(Seq(r.pass1Ms, r.cgraphMs, r.gameMs, r.pass3Ms).forall(_ >= 0), s"$cfg: pass times")
+      if (cfg.gameMode != GreedyPlacement) assert(r.placed.rounds > 0, s"$cfg: game rounds")
+    }
   }
 
   test("tau shapes the balance bound") {

@@ -23,7 +23,7 @@ class ClusterPartitioningSpec extends SparkSpec {
   test("game produces a valid assignment for every cluster") {
     val cg = clusterGraph(16)
     for (k <- Seq(2, 8, 16)) {
-      val r = ClusterPartitioning.game(cg, k, cg.lambdaMax(k))
+      val r = ClusterPartitioning.parallelGame(cg, k, cg.lambdaMax(k), Int.MaxValue, 1)
       assert(r.assignment.length == cg.numClusters)
       assert(r.assignment.forall(p => p >= 0 && p < k))
     }
@@ -31,8 +31,8 @@ class ClusterPartitioningSpec extends SparkSpec {
 
   test("game is deterministic in the seed") {
     val cg = clusterGraph(8)
-    val a = ClusterPartitioning.game(cg, 8, 0.01, seed = 5)
-    val b = ClusterPartitioning.game(cg, 8, 0.01, seed = 5)
+    val a = ClusterPartitioning.parallelGame(cg, 8, 0.01, Int.MaxValue, 1, seed = 5)
+    val b = ClusterPartitioning.parallelGame(cg, 8, 0.01, Int.MaxValue, 1, seed = 5)
     assert(a.assignment.toSeq == b.assignment.toSeq)
   }
 
@@ -40,7 +40,7 @@ class ClusterPartitioningSpec extends SparkSpec {
     val cg = clusterGraph(8)
     val k = 8
     val lambda = cg.lambdaMax(k)
-    val r = ClusterPartitioning.game(cg, k, lambda)
+    val r = ClusterPartitioning.parallelGame(cg, k, lambda, Int.MaxValue, 1)
     val part = r.assignment
     val load = new Array[Long](k)
     for (c <- 0 until cg.numClusters) load(part(c)) += cg.sizes(c)
@@ -63,8 +63,9 @@ class ClusterPartitioningSpec extends SparkSpec {
     // follow the dynamics from a random start and check φ strictly decreases
     val cg = clusterGraph(8)
     val k = 8; val lambda = cg.lambdaMax(k)
-    val r0 = ClusterPartitioning.game(cg, k, lambda, maxRounds = 0, init = RandomInit)
-    val r1 = ClusterPartitioning.game(cg, k, lambda, init = RandomInit)
+    val r0 = ClusterPartitioning.parallelGame(cg, k, lambda, Int.MaxValue, 1,
+      maxRounds = 0, init = RandomInit)
+    val r1 = ClusterPartitioning.parallelGame(cg, k, lambda, Int.MaxValue, 1, init = RandomInit)
     assert(globalCost(cg, r1.assignment, k, lambda) <=
            globalCost(cg, r0.assignment, k, lambda) + 1e-6)
   }
@@ -72,7 +73,7 @@ class ClusterPartitioningSpec extends SparkSpec {
   test("range init yields approximately balanced loads before any move") {
     val cg = clusterGraph(16)
     val k = 16
-    val r = ClusterPartitioning.game(cg, k, cg.lambdaMax(k), maxRounds = 0)
+    val r = ClusterPartitioning.parallelGame(cg, k, cg.lambdaMax(k), Int.MaxValue, 1, maxRounds = 0)
     val load = new Array[Long](k)
     for (c <- 0 until cg.numClusters) load(r.assignment(c)) += cg.sizes(c)
     val avg = load.sum.toDouble / k
@@ -114,7 +115,7 @@ class ClusterPartitioningSpec extends SparkSpec {
 
   test("rounds stay within the Theorem 6 style bound") {
     val cg = clusterGraph(8)
-    val r = ClusterPartitioning.game(cg, 8, cg.lambdaMax(8), init = RandomInit)
+    val r = ClusterPartitioning.parallelGame(cg, 8, cg.lambdaMax(8), Int.MaxValue, 1, init = RandomInit)
     // Theorem 6 bounds rounds by the cut edge count; our cap is tighter
     assert(r.rounds <= math.max(1, cg.totalCutEdges))
     assert(r.rounds <= ClusterPartitioning.MaxRounds)
@@ -122,7 +123,7 @@ class ClusterPartitioningSpec extends SparkSpec {
 
   test("k=1 assigns everything to the only partition") {
     val cg = clusterGraph(8)
-    val r = ClusterPartitioning.game(cg, 1, 1.0)
+    val r = ClusterPartitioning.parallelGame(cg, 1, 1.0, Int.MaxValue, 1)
     assert(r.assignment.forall(_ == 0))
   }
 
@@ -130,7 +131,6 @@ class ClusterPartitioningSpec extends SparkSpec {
     val cg = clusterGraph(8)
     for (k <- Seq(0, -3)) {
       val calls: Seq[() => ClusterPartitioningResult] = Seq(
-        () => ClusterPartitioning.game(cg, k, 1.0),
         () => ClusterPartitioning.parallelGame(cg, k, 1.0, 64, 2),
         () => ClusterPartitioning.greedy(cg, k))
       calls.foreach { call =>

@@ -8,7 +8,7 @@ class PartitionTransformationSpec extends SparkSpec {
   private def pipeline(s: EdgeStream, k: Int, tau: Double) = {
     val cl = StreamingClustering.cluster(s, s.numEdges.toLong / k, splitting = true)
     val cg = ClusterGraph.build(s, cl)
-    val placed = ClusterPartitioning.game(cg, k, cg.lambdaMax(k))
+    val placed = ClusterPartitioning.parallelGame(cg, k, cg.lambdaMax(k), Int.MaxValue, 1)
     (cl, PartitionTransformation.transform(s, cl, placed.assignment, k, tau))
   }
 
@@ -105,7 +105,7 @@ class PartitionTransformationSpec extends SparkSpec {
     val s = TestGraphs.tiny(spark)
     val (cl, a) = pipeline(s, 8, 1.0)
     val cg = ClusterGraph.build(s, cl)
-    val placed = ClusterPartitioning.game(cg, 8, cg.lambdaMax(8))
+    val placed = ClusterPartitioning.parallelGame(cg, 8, cg.lambdaMax(8), Int.MaxValue, 1)
     val b = PartitionTransformation.transform(s, cl, placed.assignment, 8, 1.0)
     assert(a.toSeq == b.toSeq)
   }

@@ -107,12 +107,6 @@ object ReferencePasses {
     lst += old
   }
 
-  /** Pass 2 over all cluster ids in one batch. */
-  def game(cg: ClusterGraph, k: Int, lambda: Double, seed: Long = 17,
-           maxRounds: Int = ClusterPartitioning.MaxRounds,
-           init: InitStrategy = RangeInit): ClusterPartitioningResult =
-    gameOn(cg, (0 until cg.numClusters).toArray, k, lambda, seed, maxRounds, init)
-
   /** Pass 2 in consecutive-id batches of `batchSize`, each batch allocating
     * O(m) state and playing every id it holds. */
   def parallelGame(cg: ClusterGraph, k: Int, lambda: Double,

@@ -25,19 +25,17 @@ class ReferencePassesSpec extends SparkSpec {
     assert((a.rounds, a.moves) == ((b.rounds, b.moves)), s"$what: (rounds, moves)")
   }
 
-  /** The sequential game, and the parallel game at every init, batch size
-    * (64, 512, 6400 and one batch) and thread count, against the reference. */
+  /** The parallel game at every init, batch size (64, 512, 6400 and one
+    * batch, which on one thread is the sequential game) and thread count,
+    * against the reference. */
   private def assertGameMatches(cg: ClusterGraph, k: Int, what: String): Unit = {
     val m = cg.numClusters
     val lambda = cg.lambdaMax(k)
-    for (init <- Seq(RangeInit, RandomInit)) {
-      assertSame(ClusterPartitioning.game(cg, k, lambda, init = init),
-        ReferencePasses.game(cg, k, lambda, init = init), s"$what $init game")
-      for (batch <- Seq(64, 512, 6400, math.max(m, 1)); threads <- Seq(1, 4))
-        assertSame(ClusterPartitioning.parallelGame(cg, k, lambda, batch, threads, init = init),
-          ReferencePasses.parallelGame(cg, k, lambda, batch, threads, init = init),
-          s"$what $init batch=$batch threads=$threads")
-    }
+    for (init <- Seq(RangeInit, RandomInit); batch <- Seq(64, 512, 6400, math.max(m, 1));
+         threads <- Seq(1, 4))
+      assertSame(ClusterPartitioning.parallelGame(cg, k, lambda, batch, threads, init = init),
+        ReferencePasses.parallelGame(cg, k, lambda, batch, threads, init = init),
+        s"$what $init batch=$batch threads=$threads")
   }
 
   test("pass 1 equals the reference: clusters, degrees, divided flags, volumes, mirrors") {
@@ -91,7 +89,7 @@ class ReferencePassesSpec extends SparkSpec {
     for ((name, s) <- graphs; k <- Ks; init <- Seq(RangeInit, RandomInit)) {
       val cg = ClusterGraph.build(s, StreamingClustering.cluster(s, vMax(s, k)))
       val lambda = cg.lambdaMax(k)
-      assertSame(ClusterPartitioning.game(cg, k, lambda, init = init),
+      assertSame(ClusterPartitioning.parallelGame(cg, k, lambda, Int.MaxValue, 1, init = init),
         ClusterPartitioning.parallelGame(cg, k, lambda, cg.numClusters, 1, init = init),
         s"$name k=$k $init")
     }

@@ -40,7 +40,6 @@ class EdgeBlockSpec extends SparkSpec {
       assert(got.repVertex.sameElements(want.repVertex), s"$at: repVertex")
       assert(got.groupStart.sameElements(want.groupStart), s"$at: groupStart")
       assert(got.repStart.sameElements(want.repStart), s"$at: repStart")
-      assert(got.minPart == want.minPart, s"$at: minPart")
       got
     }
     val announced = blocks.flatMap(MasterBlock.announce(_, p)).groupBy(_._1)

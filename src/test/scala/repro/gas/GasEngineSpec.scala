@@ -165,6 +165,17 @@ class GasEngineSpec extends SparkSpec {
     assert(ranks.count() > 0 && labels.count() > 0)
   }
 
+  test("a rejected call caches nothing") {
+    val s = prefixStream(4000)
+    val negative = Metrics.assignmentDF(spark, s, Array.tabulate(s.numEdges)(i => if (i == 7) -3 else 0))
+    def persisted = spark.sparkContext.getPersistentRDDs.size
+    val before = persisted
+    intercept[IllegalArgumentException](GasEngine.pageRank(spark, negative))
+    intercept[IllegalArgumentException](GasEngine.connectedComponents(spark, negative))
+    // <=: Spark holds persisted RDDs weakly, so earlier results may drop out
+    assert(persisted <= before)
+  }
+
   test("results are bitwise identical from call to call") {
     val (s, df) = assigned(4)
     def ranks(): Array[Double] = {

@@ -41,12 +41,10 @@ object ReferenceEdgeBlock {
     // replica keys (part, dst slot) per master block of dst
     val repKeys = new Array[Long](ne)
     val perMaster = Array.fill(p)(new ArrayBuilder.ofLong)
-    var minPart = 0
     var e = 0
     while (e < ne) {
       repKeys(e) = (part(e).toLong << 32) | slotOf(dstIds(e))
       perMaster(masterOf(dstIds(e), p)).addOne(repKeys(e))
-      minPart = math.min(minPart, part(e))
       e += 1
     }
     val reps = perMaster.map(b => sortedDistinct(b.result()))
@@ -68,7 +66,7 @@ object ReferenceEdgeBlock {
       rep(e) = (edgeKeys(e) >>> 32).toInt
       e += 1
     }
-    new EdgeBlock(id, vids, src, rep, reps.flatMap(_.map(_.toInt)), groupStart, repStart, minPart)
+    new EdgeBlock(id, vids, src, rep, reps.flatMap(_.map(_.toInt)), groupStart, repStart)
   }
 
   /** Sorts `a` in place; returns its distinct values. */

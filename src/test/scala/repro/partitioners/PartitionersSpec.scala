@@ -1,6 +1,7 @@
 package repro.partitioners
 
 import repro.core.{EdgeStream, Metrics}
+import repro.exp.Runner
 import repro.{SparkSpec, TestGraphs}
 
 class PartitionersSpec extends SparkSpec {
@@ -164,6 +165,14 @@ class PartitionersSpec extends SparkSpec {
       val bound = math.ceil(1.02 * s.numEdges / k).toLong
       val q = Metrics.evaluate(s, part, k)
       assert(q.partitionSizes.max <= bound, s"${algo.name} k=$k sizes ${q.partitionSizes.max} > $bound")
+    }
+  }
+
+  test("every partitioner rejects k < 1, naming the value") {
+    val s = TestGraphs.tiny(spark).take(100)
+    for (algo <- Runner.allAlgorithms(gameThreads = 2); k <- Seq(0, -3)) {
+      val e = intercept[IllegalArgumentException](algo.partition(s, k))
+      assert(e.getMessage.contains(s"got $k"), s"${algo.name}: ${e.getMessage}")
     }
   }
 
