@@ -20,19 +20,26 @@ class F10ParallelizationBench extends SparkSpec {
     s"${(0 until cg.numClusters).count(cg.isPlayer)}/${cg.numClusters}"
   }
 
-  /** Milliseconds of the game alone and of the cluster-graph build before
-    * it, and the RF. */
+  /** Median milliseconds of 5 timed runs, of the game alone and of the
+    * cluster-graph build before it, and the RF. */
   private def gameTime(threads: Int, batch: Int): (Long, Long, Double) = {
     val s = BenchData.stream(spark, "it-lite")
     val k = 64
-    val run = Clugp.passes(s, k, ClugpConfig(gameMode = ParallelGame(batch, threads)))
-    (run.gameMs, run.cgraphMs, Metrics.evaluate(s, run.part, k).replicationFactor)
+    val runs = Seq.fill(5)(Clugp.passes(s, k, ClugpConfig(gameMode = ParallelGame(batch, threads))))
+    def median(ms: Seq[Long]): Long = ms.sorted.apply(ms.length / 2)
+    (median(runs.map(_.gameMs)), median(runs.map(_.cgraphMs)),
+      Metrics.evaluate(s, runs.head.part, k).replicationFactor)
   }
+
+  /** One untimed run before a sweep, so its first row does not time the
+    * JIT compiling the passes. */
+  private def warmUp(): Unit = Clugp.passes(BenchData.stream(spark, "it-lite"), 64)
 
   test("Fig 10a: game time vs number of threads") {
     val batch = 6400
     // more threads than cores only queue behind each other
     val threads = Seq(1, 2, 4, 8, 16).filter(_ <= nproc)
+    warmUp()
     val rows = for (t <- threads) yield {
       val (ms, cgraphMs, rf) = gameTime(t, batch)
       Seq(t.toString, ms.toString, f"$rf%.3f", players, nproc.toString, cgraphMs.toString)
@@ -50,6 +57,7 @@ class F10ParallelizationBench extends SparkSpec {
 
   test("Fig 10b: game time vs batch size") {
     val threads = math.min(8, nproc)
+    warmUp()
     val rows = for (b <- Seq(800, 3200, 6400, 25600)) yield {
       val (ms, cgraphMs, rf) = gameTime(threads, b)
       Seq(b.toString, ms.toString, f"$rf%.3f", players, nproc.toString, cgraphMs.toString)

@@ -4,11 +4,12 @@ import java.util.concurrent.{Callable, Executors, TimeUnit}
 
 import scala.collection.mutable.ArrayBuffer
 
-/** The reference for CLUGP's three passes: the boxed, O(m)-per-batch
-  * implementation that [[StreamingClustering]], [[ClusterPartitioning]] and
-  * [[PartitionTransformation]] replaced. Tests assert the primitive passes
-  * give exactly its clusters, volumes, mirror lists, placements, round and
-  * move counts, and edge assignments.
+/** The reference for CLUGP's three passes and the cluster graph between
+  * them: the boxed, O(m)-per-batch implementation that
+  * [[StreamingClustering]], [[ClusterGraph.build]], [[ClusterPartitioning]]
+  * and [[PartitionTransformation]] replaced. Tests assert the primitive
+  * passes give exactly its clusters, volumes, mirror lists, cluster graphs,
+  * placements, round and move counts, and edge assignments.
   */
 object ReferencePasses {
 
@@ -105,6 +106,54 @@ object ReferencePasses {
     var lst = mirrors.get(x)
     if (lst == null) { lst = new ArrayBuffer[Int](); mirrors.put(x, lst) }
     lst += old
+  }
+
+  /** The cluster multigraph of a clustering of `stream`, its adjacency
+    * accumulated in one boxed `HashMap` per cluster and frozen to arrays in
+    * the map's iteration order. */
+  def clusterGraph(stream: EdgeStream, clustering: ClusteringResult): ClusterGraph = {
+    val m     = clustering.numClusters
+    val clu   = clustering.clu
+    val sizes = new Array[Long](m)
+    // adjacency accumulated as per-cluster hash maps, then frozen to arrays
+    val adj = new Array[java.util.HashMap[Integer, Long]](m)
+    var cut = 0L
+
+    @inline def bump(a: Int, b: Int): Unit = {
+      var h = adj(a)
+      if (h == null) { h = new java.util.HashMap[Integer, Long](); adj(a) = h }
+      h.merge(b, 1L, (x, y) => x + y)
+    }
+
+    val src = stream.src; val dst = stream.dst
+    var i = 0
+    while (i < src.length) {
+      val cu = clu(src(i)); val cv = clu(dst(i))
+      if (cu == cv) sizes(cu) += 1
+      else { bump(cu, cv); bump(cv, cu); cut += 1 }
+      i += 1
+    }
+
+    val nbrIds = new Array[Array[Int]](m)
+    val nbrW   = new Array[Array[Long]](m)
+    val cutDeg = new Array[Long](m)
+    var c = 0
+    while (c < m) {
+      val h = adj(c)
+      if (h == null) { nbrIds(c) = Array.emptyIntArray; nbrW(c) = Array.emptyLongArray }
+      else {
+        val ids = new Array[Int](h.size()); val ws = new Array[Long](h.size())
+        var j = 0; var deg = 0L
+        val it = h.entrySet().iterator()
+        while (it.hasNext) {
+          val e = it.next()
+          ids(j) = e.getKey; ws(j) = e.getValue; deg += e.getValue; j += 1
+        }
+        nbrIds(c) = ids; nbrW(c) = ws; cutDeg(c) = deg
+      }
+      c += 1
+    }
+    ClusterGraph(sizes, nbrIds, nbrW, cutDeg, sizes.sum, cut)
   }
 
   /** Pass 2 in consecutive-id batches of `batchSize`, each batch allocating
@@ -260,12 +309,12 @@ object ReferencePasses {
     out
   }
 
-  /** The three reference passes chained as [[Clugp.partition]] chains them;
-    * the edge → partition assignment. */
+  /** The three reference passes and the reference cluster graph, chained as
+    * [[Clugp.passes]] chains them; the edge → partition assignment. */
   def run(stream: EdgeStream, k: Int, cfg: ClugpConfig = ClugpConfig()): Array[Int] = {
     val vMax = math.max(2L, (cfg.vMaxFactor * stream.numEdges / k).toLong)
     val clustering = cluster(stream, vMax, cfg.splitting)
-    val cg = ClusterGraph.build(stream, clusteringResult(clustering.clu, clustering.deg,
+    val cg = clusterGraph(stream, clusteringResult(clustering.clu, clustering.deg,
       clustering.divided, clustering.mirrorClusters, clustering.numClusters, clustering.volumes))
     val lambda = cg.lambdaMax(k) * (cfg.weight / (1.0 - cfg.weight))
     val placed = cfg.gameMode match {

@@ -38,6 +38,24 @@ class ReferencePassesSpec extends SparkSpec {
         s"$what $init batch=$batch threads=$threads")
   }
 
+  /** Asserts `a` is the reference cluster graph `r` up to the order of each
+    * cluster's neighbours, and lists each cluster's neighbours strictly
+    * ascending. */
+  private def assertSameGraph(a: ClusterGraph, r: ClusterGraph, what: String): Unit = {
+    assert(a.numClusters == r.numClusters, s"$what: numClusters")
+    assert(Arrays.equals(a.sizes, r.sizes), s"$what: sizes")
+    assert(Arrays.equals(a.cutDegree, r.cutDegree), s"$what: cutDegree")
+    assert(a.totalIntraEdges == r.totalIntraEdges, s"$what: totalIntraEdges")
+    assert(a.totalCutEdges == r.totalCutEdges, s"$what: totalCutEdges")
+    for (c <- 0 until a.numClusters) {
+      val ids = a.neighborIds(c)
+      assert(ids.length == a.neighborWeights(c).length, s"$what: weights of $c")
+      assert((1 until ids.length).forall(j => ids(j - 1) < ids(j)), s"$what: neighbours of $c not ascending")
+      assert(ids.zip(a.neighborWeights(c)).toMap == r.neighborIds(c).zip(r.neighborWeights(c)).toMap,
+        s"$what: neighbours of $c")
+    }
+  }
+
   test("pass 1 equals the reference: clusters, degrees, divided flags, volumes, mirrors") {
     for ((name, s) <- graphs; k <- Ks; split <- Seq(true, false)) {
       val what = s"$name k=$k split=$split"
@@ -57,6 +75,26 @@ class ReferencePassesSpec extends SparkSpec {
       }
       assert(a.mirrorClusters == r.mirrorClusters, s"$what: mirrorClusters")
     }
+  }
+
+  test("the cluster graph equals the reference, each cluster's neighbours ascending") {
+    for ((name, s) <- graphs; k <- Ks; split <- Seq(true, false)) {
+      val cl = StreamingClustering.cluster(s, vMax(s, k), split)
+      assertSameGraph(ClusterGraph.build(s, cl), ReferencePasses.clusterGraph(s, cl), s"$name k=$k split=$split")
+    }
+  }
+
+  test("cut edges both ways between two clusters give one neighbour of weight 2 on each side") {
+    // clusters {1, 2} and {3, 4}, joined by 2 -> 3 and 3 -> 2
+    val s = EdgeStream.fromPairs(Seq((1L, 2L), (2L, 3L), (3L, 4L), (3L, 2L)))
+    val cl = ReferencePasses.clusteringResult(Array(0, 0, 1, 1), Array(1, 3, 3, 1),
+      Array.fill(4)(false), Map.empty, 2, Array(4L, 4L))
+    val cg = ClusterGraph.build(s, cl)
+    assert(cg.neighborIds.map(_.toSeq).toSeq == Seq(Seq(1), Seq(0)))
+    assert(cg.neighborWeights.map(_.toSeq).toSeq == Seq(Seq(2L), Seq(2L)))
+    assert(cg.cutDegree.toSeq == Seq(2L, 2L) && cg.sizes.toSeq == Seq(1L, 1L))
+    assert(cg.totalCutEdges == 2 && cg.totalIntraEdges == 2)
+    assertSameGraph(cg, ReferencePasses.clusterGraph(s, cl), "hand stream")
   }
 
   test("pass 2 equals the reference for every init, batch size and thread count") {

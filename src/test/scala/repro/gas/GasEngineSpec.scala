@@ -1,11 +1,17 @@
 package repro.gas
 
+import java.util.concurrent.ConcurrentHashMap
 import java.util.concurrent.atomic.AtomicInteger
 
+import scala.jdk.CollectionConverters._
+
 import org.apache.spark.SpecBus
-import org.apache.spark.scheduler.{SparkListener, SparkListenerJobStart}
+import org.apache.spark.rdd.RDD
+import org.apache.spark.scheduler.{SparkListener, SparkListenerJobStart, SparkListenerStageSubmitted,
+  SparkListenerUnpersistRDD}
 import org.apache.spark.sql.DataFrame
 import org.apache.spark.sql.functions._
+import org.apache.spark.storage.StorageLevel
 import repro.core.{Clugp, EdgeStream, Metrics}
 import repro.partitioners.HashingPartitioner
 import repro.{SparkSpec, TestGraphs}
@@ -154,26 +160,47 @@ class GasEngineSpec extends SparkSpec {
     }
   }
 
+  /** What `call` returns, and the ids of the RDDs it leaves cached: those
+    * cached in the stages it submits, less those it unpersists. Read from
+    * listener events, so an RDD the garbage collector has reclaimed still
+    * counts. */
+  private def leftCached[A](call: => A): (A, Set[Int]) = {
+    val sc = spark.sparkContext
+    val cached = ConcurrentHashMap.newKeySet[Int]()
+    val released = ConcurrentHashMap.newKeySet[Int]()
+    val listener = new SparkListener {
+      override def onStageSubmitted(e: SparkListenerStageSubmitted): Unit =
+        e.stageInfo.rddInfos.foreach(r => if (r.storageLevel.isValid) cached.add(r.id))
+      override def onUnpersistRDD(e: SparkListenerUnpersistRDD): Unit = released.add(e.rddId)
+    }
+    SpecBus.drain(sc)
+    sc.addSparkListener(listener)
+    val result = try { val a = call; SpecBus.drain(sc); a } finally sc.removeSparkListener(listener)
+    (result, cached.asScala.toSet -- released.asScala)
+  }
+
+  /** Ids of the cached RDDs `df` is computed from. */
+  private def cachedUnder(df: DataFrame): Set[Int] = {
+    def walk(rdd: RDD[_]): Set[Int] =
+      rdd.dependencies.map(d => walk(d.rdd)).foldLeft(
+        if (rdd.getStorageLevel != StorageLevel.NONE) Set(rdd.id) else Set.empty[Int])(_ ++ _)
+    walk(df.queryExecution.toRdd)
+  }
+
   test("each call caches nothing but its result") {
     val (_, df) = assigned(4)
-    def persisted = spark.sparkContext.getPersistentRDDs.size
-    val before = persisted
-    val ranks = GasEngine.pageRank(spark, df, iters = 3)
-    assert(persisted <= before + 1)
-    val (labels, _) = GasEngine.connectedComponents(spark, df)
-    assert(persisted <= before + 2)
+    val (ranks, afterRanks) = leftCached(GasEngine.pageRank(spark, df, iters = 3))
+    assert(afterRanks.size == 1 && afterRanks == cachedUnder(ranks), s"$afterRanks")
+    val ((labels, _), afterLabels) = leftCached(GasEngine.connectedComponents(spark, df))
+    assert(afterLabels.size == 1 && afterLabels == cachedUnder(labels), s"$afterLabels")
     assert(ranks.count() > 0 && labels.count() > 0)
   }
 
   test("a rejected call caches nothing") {
     val s = prefixStream(4000)
     val negative = Metrics.assignmentDF(spark, s, Array.tabulate(s.numEdges)(i => if (i == 7) -3 else 0))
-    def persisted = spark.sparkContext.getPersistentRDDs.size
-    val before = persisted
-    intercept[IllegalArgumentException](GasEngine.pageRank(spark, negative))
-    intercept[IllegalArgumentException](GasEngine.connectedComponents(spark, negative))
-    // <=: Spark holds persisted RDDs weakly, so earlier results may drop out
-    assert(persisted <= before)
+    assert(leftCached(intercept[IllegalArgumentException](GasEngine.pageRank(spark, negative)))._2.isEmpty)
+    assert(leftCached(intercept[IllegalArgumentException](GasEngine.connectedComponents(spark, negative)))._2.isEmpty)
   }
 
   test("results are bitwise identical from call to call") {
