@@ -12,7 +12,7 @@ import repro.gas.{GasEngine, GasTopology, NetworkModel}
 import repro.partitioners.StreamingPartitioner
 
 /** spark-submit entrypoint: generates one synthetic dataset, reads it as
-  * the BFS-ordered edge stream and runs one command on it.
+  * the edge stream in generator id order and runs one command on it.
   *
   *  - `partition <dataset> <k[,k…]> [algo|all|ablation]`: the quality and
   *    cost row of each algorithm at each k (Figs. 3, 6, 7), or of CLUGP and

@@ -11,11 +11,11 @@ import repro.Blocks.{LongIndex, bySender, writeColumns}
 
 /** The synthetic web graphs that stand in for the paper's WebGraph crawls
   * (Table III): [[webGraph]], a deterministic power-law generator with
-  * host-level locality, and [[sampleGraph]], its crawl-order prefix.
+  * host-level locality, and [[sampleGraph]], its id prefix.
   * [[WebGraphs]] holds the named dataset specs built on it.
   */
 object SynthData {
-  /** Synthetic power-law web graph in BFS/crawl order.
+  /** Synthetic power-law web graph, streamed in generator id order.
     *
     * Substitute for the WebGraph crawls of the CLUGP paper (uk-2002,
     * arabic-2005, webbase-2001, it-2004), which are multi-GB downloads.
@@ -38,8 +38,10 @@ object SynthData {
     * but with no host structure — which is exactly why CLUGP's advantage
     * shrinks on Twitter in the paper's Fig. 4.
     *
-    * The edge stream is the id order; [[repro.core.EdgeStream]] sorts by
-    * `(src, id)` — the BFS arrival order the paper assumes (§II fn. 1).
+    * [[repro.core.EdgeStream]] streams it in generator id order: sources
+    * ascending, each source's edges by id. A host is one block of ids, so
+    * the stream is host-sorted, not the BFS traversal the paper assumes
+    * (§II fn. 1).
     * Self-loops and duplicate edges are removed (real crawls are simple
     * graphs; duplicates would distort hashing balance), keeping the copy
     * with the lowest id, so the realized edge count lands below `nEdges`.
@@ -97,9 +99,8 @@ object SynthData {
   private[repro] def sliceStart(n: Long, slices: Int, p: Int): Long =
     (BigInt(p) * n / slices).toLong
 
-  /** BFS-prefix sample of a web graph: the subgraph induced by the first
-    * `fraction` of vertex ids (crawl-order prefix — the natural way to
-    * sample a crawl, used for the paper's Fig. 5 size sweep).
+  /** Id-prefix sample of a web graph: the subgraph induced by the first
+    * `fraction` of vertex ids (used for the paper's Fig. 5 size sweep).
     */
   def sampleGraph(edges: DataFrame, nVertices: Long, fraction: Double): DataFrame = {
     val keep = math.max(2L, (nVertices * fraction).toLong)
@@ -160,7 +161,8 @@ object WebGraphs {
   * Catalyst plan the generator used to be (kept as the test reference) run
   * over `spark.range(nEdges)` in 16 partitions: a `rand(s)` column of
   * partition `p` reads a [[XorShift]] seeded with `s + p`, and the
-  * arithmetic is Spark's — `StrictMath.pow` and `StrictMath.log`, `/` in
+  * arithmetic is Spark's — `StrictMath.pow` (reached through a bracket
+  * around `Math.pow`, [[WebGraphDraw.Zipf]]) and `StrictMath.log`, `/` in
   * doubles, `pmod` as `floorMod`, double-to-long casts truncating.
   */
 private final case class WebGraphDraw(
@@ -246,6 +248,10 @@ private object WebGraphDraw {
     * spans at most `Int.MaxValue` ids. */
   type Edges = (Array[Long], Array[Int])
 
+  /** Relative half-width of [[Zipf.rank]]'s bracket around `Math.pow`; each
+    * pow lies within 1 ulp of the exact power, so they part by ≤ 4.4e-16. */
+  private val PowBracket = 1e-12
+
   /** Bounded-Zipf rank draw: a rank in `[1, n]` with pmf ∝ `r^(-q)`
     * (q ≠ 1), via the inverse CDF `r = (1 + u·(n^(1−q) − 1))^(1/(1−q))`.
     * The *degree-distribution* exponent this induces over ranks is
@@ -255,7 +261,16 @@ private object WebGraphDraw {
   final class Zipf(n: Long, q: Double) {
     private val a = math.pow(n.toDouble, 1.0 - q) - 1.0
     private val e = 1.0 / (1.0 - q)
-    def apply(u: Double): Long = math.min(n, math.max(1L, StrictMath.pow(u * a + 1.0, e).toLong))
+    def apply(u: Double): Long = rank(u * a + 1.0)
+    /** `clamp(StrictMath.pow(b, e))`, the reference's rank: `clamp` is
+      * monotone, so where both ends of the bracket around the intrinsic
+      * `Math.pow` clamp alike, `StrictMath`'s value, inside it, does too. */
+    def rank(b: Double): Long = {
+      val m = Math.pow(b, e)
+      val lo = clamp(m * (1.0 - PowBracket))
+      if (lo == clamp(m * (1.0 + PowBracket))) lo else clamp(StrictMath.pow(b, e))
+    }
+    private def clamp(power: Double): Long = math.min(n, math.max(1L, power.toLong))
   }
 }
 

@@ -123,7 +123,7 @@ object Clugp {
     *
     * Implemented at the RDD layer: [[EdgeStream.slices]] reads, sorts,
     * merges and relabels as [[EdgeStream.fromDF]] does, into `numSlices`
-    * contiguous `(src, id)` slices in BFS order, the same on every call;
+    * contiguous `(src, id)` slices in stream order, the same on every call;
     * each slice runs the full local pipeline against the same k logical
     * partitions, and the per-edge assignments are unioned.
     *

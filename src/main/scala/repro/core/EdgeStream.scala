@@ -60,12 +60,13 @@ final class EdgeStream(val src: Array[Int], val dst: Array[Int], val numVertices
 
 object EdgeStream {
 
-  /** Build the BFS-ordered stream from a generator DataFrame with
-    * columns `(src, dst, id)`: edges are sorted by `(src, id)` — vertex
-    * ids are crawl-order, so source-sorted arrival is the BFS order the
-    * paper assumes — and vertex ids are remapped to dense 0-based ints
-    * in first-appearance order. Edges with equal `(src, id)` keep the
-    * order in which the DataFrame's partitions hold them.
+  /** Build the stream in generator id order from a generator DataFrame
+    * with columns `(src, dst, id)`: edges are sorted by `(src, id)`, so
+    * sources ascend and each source's edges follow by id (host-sorted,
+    * since a host is one block of ids; not a BFS traversal), and vertex
+    * ids are remapped to dense 0-based ints in first-appearance order.
+    * Edges with equal `(src, id)` keep the order in which the DataFrame's
+    * partitions hold them.
     *
     * Each task reads its partition as primitive columns and sorts it; the
     * driver merges the sorted runs and relabels.
@@ -116,21 +117,6 @@ object EdgeStream {
       val run = merge(bySender(inputs, pieces).filter(_ != null))
       if (run.size == 0) Iterator.empty else Iterator((run, relabel(run.src, run.dst)))
     }
-  }
-
-  /** Build a stream from (src, dst) pairs already in stream order,
-    * remapping arbitrary long ids to dense 0-based ints by first
-    * appearance.
-    *
-    * @throws IllegalArgumentException if there are more than
-    *         `LongIndex.MaxKeys` (2²⁹) vertices
-    */
-  def fromPairs(pairs: Seq[(Long, Long)]): EdgeStream = {
-    val n = pairs.length
-    val src = new Array[Long](n); val dst = new Array[Long](n)
-    var i = 0
-    pairs.foreach { case (u, v) => src(i) = u; dst(i) = v; i += 1 }
-    relabel(src, dst)
   }
 
   private val Columns = Seq("src", "dst", "id")

@@ -48,7 +48,7 @@ object Runner {
     * prefers it. */
   val ShuffleSeed = 99L
 
-  /** Run `algo` on the BFS-ordered `stream` with its preferred order. */
+  /** Run `algo` on `stream`, in generator id order, with its preferred order. */
   def run(dataset: String, stream: EdgeStream, algo: StreamingPartitioner, k: Int): RunResult = {
     val s = if (algo.preferredOrder == "bfs") stream else stream.shuffled(ShuffleSeed)
     val a = algo.partition(s, k)

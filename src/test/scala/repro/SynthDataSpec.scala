@@ -2,6 +2,10 @@ package repro
 
 import java.util.concurrent.atomic.AtomicInteger
 
+import scala.concurrent.{Await, Future}
+import scala.concurrent.ExecutionContext.Implicits.global
+import scala.concurrent.duration.Duration
+
 import org.apache.spark.SpecBus
 import org.apache.spark.scheduler.{SparkListener, SparkListenerJobStart}
 import org.apache.spark.sql.functions._
@@ -51,6 +55,52 @@ class SynthDataSpec extends SparkSpec {
       val got = TestGraphs.streamHash(EdgeStream.fromDF(spec.df(spark)))
       assert(f"$got%016x" == hash, spec.name)
     }
+  }
+
+  test("fromDF gives the pinned stream of ArabicLite, WebBaseLite, ITLite and TwitterLite") {
+    // the rest of EXPERIMENTS.md Table III; webbase-lite's draws reach the
+    // StrictMath.pow fallback of Zipf.rank
+    val want = Seq(WebGraphs.ArabicLite -> "56a8887335524396", WebGraphs.WebBaseLite -> "85a2eb101b3da8fd",
+                   WebGraphs.ITLite -> "3574e5b9ed9d8307", WebGraphs.TwitterLite -> "5853df107918dbf3")
+    for ((spec, hash) <- want) {
+      val got = TestGraphs.streamHash(EdgeStream.fromDF(spec.df(spark)))
+      assert(f"$got%016x" == hash, spec.name)
+    }
+  }
+
+  /** Checks `Zipf(n, q).rank` against `StrictMath.pow`'s rank on the
+    * inputs b within 30 ulps of r^(1/e) for every rank r, where the
+    * truncated power b^e steps to r; returns how many of them `Math.pow`
+    * and `StrictMath.pow` truncate apart. */
+  private def boundaryScan(n: Long, q: Double): Long = {
+    val zipf = new WebGraphDraw.Zipf(n, q)
+    val e = 1.0 / (1.0 - q)
+    var differ = 0L
+    var r = 1L
+    while (r <= n) {
+      var b = StrictMath.pow(r.toDouble, 1.0 - q)
+      for (_ <- 1 to 30) b = Math.nextDown(b)
+      for (_ <- -30 to 30) {
+        val strict = StrictMath.pow(b, e)
+        if (Math.pow(b, e).toLong != strict.toLong) differ += 1
+        val want = math.min(n, math.max(1L, strict.toLong))
+        val got = zipf.rank(b)
+        if (got != want) fail(s"q $q, n $n, b $b: rank $got, StrictMath.pow gives $want")
+        b = Math.nextUp(b)
+      }
+      r += 1
+    }
+    differ
+  }
+
+  test("Zipf gives StrictMath.pow's rank next to every rank boundary") {
+    // every q of WebGraphs; the cases run in parallel
+    val cases = for (q <- Seq(0.25, 0.3, 0.5, 0.55, 0.7); n <- Seq(10L, 14L, 60000L, 100000L)) yield (n, q)
+    val differ = Await.result(Future.traverse(cases)(c => Future(boundaryScan(c._1, c._2))), Duration.Inf).sum
+    assert(differ > 0, "no scanned input tells Math.pow from StrictMath.pow")
+    // one of them: Math.pow truncates to 245
+    assert(StrictMath.pow(62.11569235526639, 1.0 / 0.75).toLong == 246)
+    assert(new WebGraphDraw.Zipf(60000, 0.25).rank(62.11569235526639) == 246)
   }
 
   test("XorShift replays rand(seed) of spark.range value for value") {

@@ -52,8 +52,23 @@ object TestGraphs {
     h
   }
 
+  /** Build a stream from (src, dst) pairs already in stream order,
+    * remapping arbitrary long ids to dense 0-based ints by first
+    * appearance.
+    *
+    * @throws IllegalArgumentException if there are more than
+    *         `LongIndex.MaxKeys` (2²⁹) vertices
+    */
+  def fromPairs(pairs: Seq[(Long, Long)]): EdgeStream = {
+    val n = pairs.length
+    val src = new Array[Long](n); val dst = new Array[Long](n)
+    var i = 0
+    pairs.foreach { case (u, v) => src(i) = u; dst(i) = v; i += 1 }
+    EdgeStream.relabel(src, dst)
+  }
+
   /** A tiny deterministic hand-stream for exact-value tests. */
-  def handStream: EdgeStream = EdgeStream.fromPairs(Seq(
+  def handStream: EdgeStream = fromPairs(Seq(
     (1L, 2L), (1L, 3L), (2L, 3L), (4L, 5L), (4L, 6L), (5L, 6L), (3L, 4L), (6L, 1L)
   ))
 }

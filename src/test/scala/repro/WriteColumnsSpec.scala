@@ -51,7 +51,7 @@ class WriteColumnsSpec extends SparkSpec {
 
   private lazy val stream = {
     val t = TestGraphs.tiny(spark).take(4000)
-    EdgeStream.fromPairs(t.src.indices.map(i => (t.src(i).toLong, t.dst(i).toLong)))
+    TestGraphs.fromPairs(t.src.indices.map(i => (t.src(i).toLong, t.dst(i).toLong)))
   }
   private lazy val part = Clugp.run(stream, 8).part
 

@@ -42,7 +42,7 @@ class ClusterGraphSpec extends SparkSpec {
 
   test("hand example: two clusters with one crossing edge") {
     // vertices 1,2 cluster together; 3,4 cluster together; (2,3) crosses
-    val s = EdgeStream.fromPairs(Seq((1L, 2L), (1L, 2L), (3L, 4L), (2L, 3L)))
+    val s = TestGraphs.fromPairs(Seq((1L, 2L), (1L, 2L), (3L, 4L), (2L, 3L)))
     // build with a huge vMax: migration merges 1-2 and 3-4; (2,3) arrives
     // last — the smaller cluster's endpoint migrates, merging everything.
     // Use the cluster map directly instead: craft clustering by running
@@ -63,7 +63,7 @@ class ClusterGraphSpec extends SparkSpec {
   test("lambdaMax follows Theorem 5's formula") {
     val cl = clusteringResult(Array(0, 1), Array(1, 1), Array(false, false),
       Map.empty, 2, Array(2L, 2L))
-    val s = EdgeStream.fromPairs(Seq((1L, 2L)))
+    val s = TestGraphs.fromPairs(Seq((1L, 2L)))
     val cg = ClusterGraph.build(s, cl)
     // one cut edge, zero intra edges -> guard against /0 via max(1, intra)
     assert(cg.totalCutEdges == 1 && cg.totalIntraEdges == 0)
@@ -71,7 +71,7 @@ class ClusterGraphSpec extends SparkSpec {
   }
 
   test("singleton clusters with no neighbors have empty adjacency") {
-    val s = EdgeStream.fromPairs(Seq((1L, 2L)))
+    val s = TestGraphs.fromPairs(Seq((1L, 2L)))
     val cl = clusteringResult(Array(0, 0), Array(1, 1), Array(false, false),
       Map.empty, 1, Array(2L))
     val cg = ClusterGraph.build(s, cl)

@@ -6,14 +6,14 @@ import repro.{Oracle, SparkSpec, TestGraphs}
 class EdgeStreamSpec extends SparkSpec {
 
   test("fromPairs remaps ids densely by first appearance") {
-    val s = EdgeStream.fromPairs(Seq((10L, 20L), (20L, 30L), (10L, 30L)))
+    val s = TestGraphs.fromPairs(Seq((10L, 20L), (20L, 30L), (10L, 30L)))
     assert(s.numVertices == 3)
     assert(s.src.toSeq == Seq(0, 1, 0))
     assert(s.dst.toSeq == Seq(1, 2, 2))
   }
 
   test("fromPairs keeps stream order") {
-    val s = EdgeStream.fromPairs(Seq((5L, 6L), (1L, 2L), (5L, 2L)))
+    val s = TestGraphs.fromPairs(Seq((5L, 6L), (1L, 2L), (5L, 2L)))
     assert(s.numEdges == 3)
     // first edge is (5,6) -> densified (0,1)
     assert(s.src(0) == 0 && s.dst(0) == 1)
@@ -21,7 +21,7 @@ class EdgeStreamSpec extends SparkSpec {
 
   test("fromPairs labels extreme ids by first appearance") {
     val top = 1L << 32
-    val s = EdgeStream.fromPairs(Seq((Long.MinValue, Long.MaxValue), (-1L, Long.MinValue),
+    val s = TestGraphs.fromPairs(Seq((Long.MinValue, Long.MaxValue), (-1L, Long.MinValue),
       (top, 1L), (1L, -1L), (0L, top | 1L), (Long.MaxValue, top)))
     assert(s.numVertices == 7)
     assert(s.src.toSeq == Seq(0, 2, 3, 4, 5, 1))

@@ -8,7 +8,7 @@ class MetricsSpec extends SparkSpec {
   test("replication factor on a hand example") {
     // edges (0,1),(0,2) split across partitions 0 and 1:
     // P(0)={0,1}, P(1)={0}, P(2)={1} -> rf = 4/3
-    val s = EdgeStream.fromPairs(Seq((1L, 2L), (1L, 3L)))
+    val s = TestGraphs.fromPairs(Seq((1L, 2L), (1L, 3L)))
     val q = Metrics.evaluate(s, Array(0, 1), 2)
     assert(math.abs(q.replicationFactor - 4.0 / 3.0) < 1e-12)
     assert(q.numReplicas == 1)
@@ -17,7 +17,7 @@ class MetricsSpec extends SparkSpec {
   }
 
   test("rf = 1 when every vertex stays in one partition") {
-    val s = EdgeStream.fromPairs(Seq((1L, 2L), (2L, 3L), (3L, 1L)))
+    val s = TestGraphs.fromPairs(Seq((1L, 2L), (2L, 3L), (3L, 1L)))
     val q = Metrics.evaluate(s, Array(0, 0, 0), 4)
     assert(q.replicationFactor == 1.0)
     assert(q.numReplicas == 0)
@@ -25,20 +25,20 @@ class MetricsSpec extends SparkSpec {
   }
 
   test("invalid partition ids are rejected") {
-    val s = EdgeStream.fromPairs(Seq((1L, 2L)))
+    val s = TestGraphs.fromPairs(Seq((1L, 2L)))
     intercept[IllegalArgumentException] { Metrics.evaluate(s, Array(7), 2) }
     intercept[IllegalArgumentException] { Metrics.evaluate(s, Array(-1), 2) }
   }
 
   test("assignment length must match the stream") {
-    val s = EdgeStream.fromPairs(Seq((1L, 2L), (2L, 3L)))
+    val s = TestGraphs.fromPairs(Seq((1L, 2L), (2L, 3L)))
     intercept[IllegalArgumentException] { Metrics.evaluate(s, Array(0), 2) }
   }
 
   test("bitset path works beyond 64 partitions") {
     // star around vertex 1 across 100 partitions
     val n = 100
-    val s = EdgeStream.fromPairs((1 to n).map(i => (0L, i.toLong)))
+    val s = TestGraphs.fromPairs((1 to n).map(i => (0L, i.toLong)))
     val q = Metrics.evaluate(s, Array.tabulate(n)(identity), n)
     assert(q.replicationFactor == (n + n).toDouble / (n + 1))
     assert(q.partitionSizes.forall(_ == 1L))

@@ -51,7 +51,7 @@ class PartitionTransformationSpec extends SparkSpec {
 
   test("same-partition endpoints keep the edge there (no spurious cut)") {
     // both vertices in one cluster mapped to partition 1, tau loose
-    val s = EdgeStream.fromPairs(Seq((1L, 2L), (1L, 2L), (2L, 1L)))
+    val s = TestGraphs.fromPairs(Seq((1L, 2L), (1L, 2L), (2L, 1L)))
     val cl = clusteringResult(Array(0, 0), Array(3, 3), Array(false, false),
       Map.empty, 1, Array(6L))
     val part = PartitionTransformation.transform(s, cl, Array(1), 4, 4.0)
@@ -61,7 +61,7 @@ class PartitionTransformationSpec extends SparkSpec {
   test("higher-degree endpoint is cut when partitions differ") {
     // u (deg 3) vs v (deg 1): edge goes to u's... no — to the partition of
     // the LOWER degree vertex's side: deg[v] < deg[u] -> assign to p_v
-    val s = EdgeStream.fromPairs(Seq((1L, 2L)))
+    val s = TestGraphs.fromPairs(Seq((1L, 2L)))
     val cl = clusteringResult(Array(0, 1), Array(5, 1), Array(false, false),
       Map.empty, 2, Array(5L, 1L))
     val part = PartitionTransformation.transform(s, cl, Array(0, 1), 4, 4.0)
@@ -72,7 +72,7 @@ class PartitionTransformationSpec extends SparkSpec {
   test("an edge rides an existing mirror instead of minting a replica") {
     // u divided with a mirror in cluster 1 (partition 1); v master in
     // cluster 1. The edge should go to partition 1 (u already there).
-    val s = EdgeStream.fromPairs(Seq((1L, 2L)))
+    val s = TestGraphs.fromPairs(Seq((1L, 2L)))
     val cl = clusteringResult(Array(0, 1), Array(1, 9), Array(true, false),
       Map(0 -> Seq(1)), 2, Array(1L, 9L))
     val part = PartitionTransformation.transform(s, cl, Array(0, 1), 4, 4.0)
@@ -81,7 +81,7 @@ class PartitionTransformationSpec extends SparkSpec {
 
   test("divided endpoint is cut in preference to an undivided one") {
     // u divided (mirror in an unrelated partition), v not: cut u -> p_v
-    val s = EdgeStream.fromPairs(Seq((1L, 2L)))
+    val s = TestGraphs.fromPairs(Seq((1L, 2L)))
     val cl = clusteringResult(Array(0, 1), Array(9, 1), Array(true, false),
       Map(0 -> Seq(2)), 3, Array(9L, 1L, 0L))
     // clusters 0,1,2 -> partitions 0,1,3: mirror partition 3 != p_v
@@ -91,7 +91,7 @@ class PartitionTransformationSpec extends SparkSpec {
 
   test("overflow spills to an underflow partition") {
     // k=2, tau=1: L_max = 2; four edges all preferring partition 0
-    val s = EdgeStream.fromPairs(Seq((1L, 2L), (1L, 3L), (1L, 4L), (1L, 5L)))
+    val s = TestGraphs.fromPairs(Seq((1L, 2L), (1L, 3L), (1L, 4L), (1L, 5L)))
     val cl = clusteringResult(Array(0, 0, 0, 0, 0), Array(4, 1, 1, 1, 1),
       Array(false, false, false, false, false), Map.empty, 1, Array(8L))
     val part = PartitionTransformation.transform(s, cl, Array(0), 2, 1.0)

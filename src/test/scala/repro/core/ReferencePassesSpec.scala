@@ -86,7 +86,7 @@ class ReferencePassesSpec extends SparkSpec {
 
   test("cut edges both ways between two clusters give one neighbour of weight 2 on each side") {
     // clusters {1, 2} and {3, 4}, joined by 2 -> 3 and 3 -> 2
-    val s = EdgeStream.fromPairs(Seq((1L, 2L), (2L, 3L), (3L, 4L), (3L, 2L)))
+    val s = TestGraphs.fromPairs(Seq((1L, 2L), (2L, 3L), (3L, 4L), (3L, 2L)))
     val cl = ReferencePasses.clusteringResult(Array(0, 0, 1, 1), Array(1, 3, 3, 1),
       Array.fill(4)(false), Map.empty, 2, Array(4L, 4L))
     val cg = ClusterGraph.build(s, cl)

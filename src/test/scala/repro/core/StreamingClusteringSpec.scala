@@ -62,7 +62,7 @@ class StreamingClusteringSpec extends SparkSpec {
 
   test("migration merges connected vertices under a loose V_max") {
     // a path graph small enough to fit one cluster entirely
-    val s = EdgeStream.fromPairs(Seq((1L, 2L), (2L, 3L), (3L, 4L), (4L, 5L)))
+    val s = TestGraphs.fromPairs(Seq((1L, 2L), (2L, 3L), (3L, 4L), (4L, 5L)))
     val r = StreamingClustering.cluster(s, 1000, splitting = true)
     assert(r.clu.distinct.length == 1, "path should collapse into one cluster")
   }
@@ -70,7 +70,7 @@ class StreamingClusteringSpec extends SparkSpec {
   test("two disconnected cliques form two clusters") {
     val c1 = for (i <- 1L to 4L; j <- (i + 1) to 4L) yield (i, j)
     val c2 = for (i <- 11L to 14L; j <- (i + 1) to 14L) yield (i, j)
-    val s = EdgeStream.fromPairs(c1 ++ c2)
+    val s = TestGraphs.fromPairs(c1 ++ c2)
     val r = StreamingClustering.cluster(s, 1000, splitting = true)
     val clusters = r.clu.distinct
     assert(clusters.length == 2)
@@ -116,7 +116,7 @@ class StreamingClusteringSpec extends SparkSpec {
       }
       val vMax  = Seq(5L, 20L, 100L)(seed % 3)
       val split = seed % 2 == 0
-      val s = EdgeStream.fromPairs(edges)
+      val s = TestGraphs.fromPairs(edges)
       invariants(s, StreamingClustering.cluster(s, vMax, split))
     }
   }

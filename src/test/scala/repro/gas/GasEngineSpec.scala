@@ -22,7 +22,7 @@ class GasEngineSpec extends SparkSpec {
     * vertices and the driver reference models the same vertex set. */
   private def prefixStream(n: Int): EdgeStream = {
     val t = TestGraphs.tiny(spark).take(n)
-    EdgeStream.fromPairs(t.src.indices.map(i => (t.src(i).toLong, t.dst(i).toLong)))
+    TestGraphs.fromPairs(t.src.indices.map(i => (t.src(i).toLong, t.dst(i).toLong)))
   }
 
   private def assigned(k: Int) = {
@@ -63,7 +63,7 @@ class GasEngineSpec extends SparkSpec {
   test("pageRank agrees with GraphX on a dangling-free graph") {
     // strongly-connected cycle avoids dangling-mass formulation differences
     val n = 50
-    val s = EdgeStream.fromPairs(
+    val s = TestGraphs.fromPairs(
       (0 until n).map(i => ((i + 1).toLong, ((i + 1) % n + 1).toLong)) ++
       (0 until n).map(i => ((i + 1).toLong, ((i + 3) % n + 1).toLong)))
     val df = Metrics.assignmentDF(spark, s, Clugp.run(s, 2).part)
@@ -97,7 +97,7 @@ class GasEngineSpec extends SparkSpec {
   test("connectedComponents on disjoint cliques finds each clique") {
     val c1 = for (i <- 1L to 4L; j <- (i + 1) to 4L) yield (i, j)
     val c2 = for (i <- 11L to 13L; j <- (i + 1) to 13L) yield (i, j)
-    val s = EdgeStream.fromPairs(c1 ++ c2)
+    val s = TestGraphs.fromPairs(c1 ++ c2)
     val df = Metrics.assignmentDF(spark, s, Array.fill(s.numEdges)(0))
     val (labels, _) = GasEngine.connectedComponents(spark, df)
     val comps = labels.select("component").distinct().count()
@@ -106,7 +106,7 @@ class GasEngineSpec extends SparkSpec {
 
   test("pageRank handles dangling vertices (sinks) correctly") {
     // star into a sink: 1->4, 2->4, 3->4; 4 has no out-edges
-    val s = EdgeStream.fromPairs(Seq((1L, 4L), (2L, 4L), (3L, 4L)))
+    val s = TestGraphs.fromPairs(Seq((1L, 4L), (2L, 4L), (3L, 4L)))
     val df = Metrics.assignmentDF(spark, s, Array(0, 1, 0))
     val ranks = GasEngine.pageRank(spark, df, iters = 20)
       .collect().map(r => (r.getLong(0), r.getDouble(1))).toMap
@@ -270,7 +270,7 @@ class GasEngineSpec extends SparkSpec {
       .toDF("id", "src", "dst", "part")
     assertReferenceRanks(sparse, "sparse ids")
     // fewer vertices than P, with a sink
-    val two = EdgeStream.fromPairs(Seq((1L, 2L)))
+    val two = TestGraphs.fromPairs(Seq((1L, 2L)))
     assertReferenceRanks(Metrics.assignmentDF(spark, two, Array(3)), "two vertices")
   }
 

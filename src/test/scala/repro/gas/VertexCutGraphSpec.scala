@@ -1,7 +1,7 @@
 package repro.gas
 
 import org.apache.spark.sql.functions._
-import repro.core.{Clugp, EdgeStream, Metrics}
+import repro.core.{Clugp, Metrics}
 import repro.{Oracle, SparkSpec, TestGraphs}
 
 class VertexCutGraphSpec extends SparkSpec {
@@ -26,7 +26,7 @@ class VertexCutGraphSpec extends SparkSpec {
 
   test("hand example topology") {
     // (0,1)->p0, (1,2)->p1: vertex 1 is mirrored
-    val s = EdgeStream.fromPairs(Seq((1L, 2L), (2L, 3L)))
+    val s = TestGraphs.fromPairs(Seq((1L, 2L), (2L, 3L)))
     val topo = VertexCutGraph.topology(Metrics.assignmentDF(spark, s, Array(0, 1)), 2)
     assert(topo.masters == 3 && topo.replicas == 4 && topo.mirrors == 1)
     assert(topo.messagesPerIteration == 2)
@@ -64,7 +64,7 @@ class VertexCutGraphSpec extends SparkSpec {
   }
 
   test("empty partitions report zero edges") {
-    val s = EdgeStream.fromPairs(Seq((1L, 2L)))
+    val s = TestGraphs.fromPairs(Seq((1L, 2L)))
     val topo = VertexCutGraph.topology(Metrics.assignmentDF(spark, s, Array(0)), 4)
     assert(topo.edgesPerPartition.toSeq == Seq(1L, 0L, 0L, 0L))
     assert(topo.mirrors == 0)
@@ -88,7 +88,7 @@ class VertexCutGraphSpec extends SparkSpec {
   }
 
   test("an empty assignment has an all-zero topology over k empty partitions") {
-    val s = EdgeStream.fromPairs(Seq((1L, 2L))).take(0)
+    val s = TestGraphs.fromPairs(Seq((1L, 2L))).take(0)
     val k = 5
     val q = Metrics.evaluate(s, Array.emptyIntArray, k)
     for (topo <- Seq(GasTopology.of(q),

@@ -1,6 +1,6 @@
 package repro.partitioners
 
-import repro.core.{EdgeStream, Metrics}
+import repro.core.Metrics
 import repro.exp.Runner
 import repro.{SparkSpec, TestGraphs}
 
@@ -24,7 +24,7 @@ class PartitionersSpec extends SparkSpec {
   }
 
   test("Hashing assigns identical edges identically and uses zero space") {
-    val s = EdgeStream.fromPairs(Seq((1L, 2L), (3L, 4L), (1L, 2L)))
+    val s = TestGraphs.fromPairs(Seq((1L, 2L), (3L, 4L), (1L, 2L)))
     val a = new HashingPartitioner().partition(s, 8)
     assert(a.part(0) == a.part(2))
     assert(a.spaceBytes == 0)
@@ -82,7 +82,7 @@ class PartitionersSpec extends SparkSpec {
     // four independent pairs × 3 copies, k=4: every pair fits one
     // partition without breaching capacity = ceil(1.02·12/4) = 4
     val pairs = Seq((1L, 2L), (3L, 4L), (5L, 6L), (7L, 8L))
-    val s = EdgeStream.fromPairs(pairs.flatMap(p => Seq(p, p, p)))
+    val s = TestGraphs.fromPairs(pairs.flatMap(p => Seq(p, p, p)))
     val part = new GreedyPartitioner().partition(s, 4).part
     for (g <- 0 until 4) {
       val copies = Seq(3 * g, 3 * g + 1, 3 * g + 2).map(part)
