@@ -11,9 +11,9 @@ import repro.Blocks.{LongIndex, bySender, countingSort, readLongs}
 
 /** The edges of the GAS partitions `part ≡ id (mod P)`, in primitive arrays.
   *
-  * Local vertices are grouped by master block, so the values a master block
-  * sends land in one contiguous slot range, and the replicas too, so the
-  * partials for one master block are one contiguous range. Edges are sorted
+  * Local vertices are grouped by master block, and the replicas too, so
+  * what a master block tells the block at load lands in one contiguous slot
+  * range and one contiguous replica range. Edges are sorted
   * by (replica, src), so the layout depends only on the block's edge set,
   * never on the order the input delivered it.
   *
@@ -25,8 +25,8 @@ import repro.Blocks.{LongIndex, bySender, countingSort, readLongs}
   * @param repVertex per replica, slot of its vertex in `vids`
   * @param groupStart slot offsets of the `2P` vertex groups: the sources
   *                  mastered by `m` are `groupStart(2m) until
-  *                  groupStart(2m + 1)`, where the values `m` sends are
-  *                  copied; its other vertices follow, up to `groupStart(2m + 2)`
+  *                  groupStart(2m + 1)`; its other vertices follow, up to
+  *                  `groupStart(2m + 2)`
   * @param repStart  replicas of vertices mastered by `m` are
   *                  `repStart(m) until repStart(m + 1)`
   */
@@ -125,9 +125,9 @@ private[gas] object EdgeBlock {
   * @param ids      sorted vertex ids
   * @param outDeg   global out-degree of each vertex
   * @param outRoute per edge block `b`, positions in `ids` of `b`'s sources
-  *                 mastered here, in `b`'s slot order — the values sent to `b`
+  *                 mastered here, in `b`'s slot order
   * @param inRoute  per edge block `b`, positions in `ids` of `b`'s replicas
-  *                 mastered here, in replica order — the partials `b` sends
+  *                 mastered here, in replica order
   */
 private[gas] final class MasterBlock(
     val id: Int,
@@ -177,26 +177,113 @@ private[gas] object MasterBlock {
     }
     new MasterBlock(id, ids, outDeg, outRoute, inRoute)
   }
+
+  /** What master block `m` tells block `x` at load: the global out-degree
+    * of `x`'s sources mastered by `m`, in slot order; per block `c`, which
+    * of `x`'s replicas mastered by `m` ship their partial to `c` (indices
+    * into `m.inRoute(x)`); and per block `b`, where each partial `b` ships
+    * `x` for a vertex mastered by `m` folds (a position in `m.ids` if
+    * `m == x`, else in `m.outRoute(x)`). A replica's partial goes to every
+    * block where its vertex is a source, and to the vertex's master block. */
+  type Directions = (Array[Int], Array[Array[Int]], Array[Array[Int]])
+
+  def directions(mb: MasterBlock, p: Int): Iterator[(Int, (Int, Directions))] = {
+    // per block c, each vertex's position in outRoute(c), -1 if not a source there
+    val at = mb.outRoute.map { route =>
+      val a = Array.fill(mb.ids.length)(-1)
+      route.indices.foreach(j => a(route(j)) = j)
+      a
+    }
+    val sendTo = Array.fill(p, p)(new ArrayBuilder.ofInt) // (sender)(receiver)
+    val recvFrom = Array.fill(p, p)(new ArrayBuilder.ofInt) // (receiver)(sender)
+    for (b <- 0 until p; k <- mb.inRoute(b).indices; c <- 0 until p) {
+      val i = mb.inRoute(b)(k)
+      if (c == mb.id || at(c)(i) >= 0) {
+        sendTo(b)(c).addOne(k)
+        recvFrom(c)(b).addOne(if (c == mb.id) i else at(c)(i))
+      }
+    }
+    (0 until p).iterator.map { x =>
+      (x, (mb.id, (mb.outRoute(x).map(mb.outDeg), sendTo(x).map(_.result()), recvFrom(x).map(_.result()))))
+    }
+  }
 }
 
-/** A vertex-cut graph loaded into `P = defaultParallelism` edge blocks and
-  * `P` master blocks, GraphX-style: GAS partition `part` lives in edge
-  * block `part % P`, the master of vertex `v` in master block `v % P`.
-  * Edges never move after load; a superstep ships one value array and one
-  * scalar per (master block, edge block) pair, and one partial array and
-  * `P` scalars back.
+/** Block `b` of the one-exchange superstep: edge block `b`, master block
+  * `b` and the routes to the other blocks. It keeps one value per vertex
+  * it needs: the vertices it masters, in `master.ids` order, then its
+  * sources mastered elsewhere, in slot order.
+  *
+  * @param srcDeg per slot, the global out-degree of its vertex
+  * @param at     per slot, the index of its vertex's value; -1 if the
+  *               vertex is not a source here
+  * @param size   the number of values
+  * @param send   per block `c`, the replicas whose partials go to `c`
+  * @param recv   per block `c`, the value each partial from `c` folds into
+  */
+private[gas] final class Block(
+    val edges: EdgeBlock,
+    val master: MasterBlock,
+    val srcDeg: Array[Int],
+    val at: Array[Int],
+    val size: Int,
+    val send: Array[Array[Int]],
+    val recv: Array[Array[Int]]) extends Serializable {
+
+  /** The partials of `acc`, one per replica, that go to each block. */
+  def shipped[@specialized(Long, Double) A: ClassTag](acc: Array[A]): Array[Array[A]] =
+    send.map { route =>
+      val out = new Array[A](route.length)
+      var i = 0
+      while (i < route.length) { out(i) = acc(route(i)); i += 1 }
+      out
+    }
+}
+
+private[gas] object Block {
+
+  /** Builds block `eb.id` of `p` from its edge and master blocks and the
+    * directions of every master block. */
+  def build(eb: EdgeBlock, mb: MasterBlock, p: Int, msgs: Iterator[(Int, (Int, MasterBlock.Directions))]): Block = {
+    val (x, g) = (eb.id, eb.groupStart)
+    val srcDeg = new Array[Int](eb.vids.length)
+    val at = Array.fill(eb.vids.length)(-1)
+    var size = mb.ids.length
+    val send = Array.fill(p)(new ArrayBuilder.ofInt)
+    val recv = Array.fill(p)(new ArrayBuilder.ofInt)
+    val from = bySender[MasterBlock.Directions](p, msgs)
+    for (m <- 0 until p) {
+      val (deg, sendTo, recvFrom) = from(m)
+      for (j <- deg.indices) {
+        srcDeg(g(2 * m) + j) = deg(j)
+        at(g(2 * m) + j) = if (m == x) mb.outRoute(x)(j) else { size += 1; size - 1 }
+      }
+      for (c <- 0 until p) sendTo(c).foreach(k => send(c).addOne(eb.repStart(m) + k))
+      for (b <- 0 until p) recvFrom(b).foreach(j => recv(b).addOne(if (m == x) j else at(g(2 * m) + j)))
+    }
+    new Block(eb, mb, srcDeg, at, size, send.map(_.result()), recv.map(_.result()))
+  }
+}
+
+/** A vertex-cut graph loaded into `P = defaultParallelism` blocks,
+  * GraphX-style: GAS partition `part` lives in edge block `part % P`, the
+  * master of vertex `v` in master block `v % P`, and [[Block]] `b` joins
+  * edge block `b` with master block `b`. Edges never move after load; a
+  * superstep is one exchange, in which every block ships every block its
+  * scalar and the partials that block needs: one Spark stage.
   *
   * Every RDD the graph caches is released by [[release]].
   */
 private[gas] final class BlockGraph private (
     p: Int,
-    edges: RDD[EdgeBlock],
+    val edges: RDD[EdgeBlock],
     val masters: RDD[MasterBlock],
+    val blocks: RDD[Block],
     val numVertices: Long) {
   import BlockGraph.only
 
   private val partitioner = new HashPartitioner(p)
-  private val cached = ArrayBuffer[RDD[_]](edges, masters)
+  private val cached = ArrayBuffer[RDD[_]](edges, masters, blocks)
 
   /** Caches `rdd` until [[drop]] or [[release]]. */
   def keep[A](rdd: RDD[A]): RDD[A] = { cached += rdd.persist(); rdd }
@@ -205,58 +292,42 @@ private[gas] final class BlockGraph private (
 
   def release(): Unit = { cached.foreach(_.unpersist(blocking = false)); cached.clear() }
 
-  /** One gather–apply round over per-master-block state `V`, with
-    * messages of `A` values and one scalar summed over all master blocks.
+  /** One gather–apply round over the values of each [[Block]], with
+    * partials of `A` and one scalar summed over all blocks, in one
+    * exchange: each block ships every block its scalar and the partials that
+    * block needs, and each receiver folds and applies them. New values
+    * depend only on what was shipped, so rounds chain lazily, one Spark
+    * stage each, with no driver action or cache between them.
     *
-    * Every master block sends every edge block its scalar with its values,
-    * and every edge block forwards all `P` scalars to every master block with
-    * its partials, so the sum reaches each master block inside the round's
-    * two shuffles: rounds chain lazily, and no round needs a driver action.
-    *
-    * @param global  master block `m`'s share of the scalar, from its state
-    * @param scatter the values master block `m` sends to edge block `b`,
-    *                one per `m.outRoute(b)` entry
-    * @param gather  an edge block's local gather: from one value per slot
-    *                (set for sources only) to one partial per replica
-    * @param apply   a master block's update from its state, the partials of
-    *                each edge block (empty where none), indexed by block,
-    *                and the scalar summed in master block order
+    * @param share  a block's share of the scalar
+    * @param gather a block's partials for each block, one per `send` entry
+    * @param apply  a block's new values from the partials, by sender, and
+    *               the scalar summed in block order
     */
-  def superstep[V: ClassTag, A: ClassTag](state: RDD[V])(
-      global: (MasterBlock, V) => Double,
-      scatter: (MasterBlock, V, Int) => Array[A],
-      gather: (EdgeBlock, Array[A]) => Array[A],
-      apply: (MasterBlock, V, Array[Array[A]], Double) => V): RDD[V] = {
+  def superstep[A: ClassTag](values: RDD[Array[A]])(
+      share: (Block, Array[A]) => Double,
+      gather: (Block, Array[A]) => Array[Array[A]],
+      apply: (Block, Array[Array[A]], Double) => Array[A]): RDD[Array[A]] = {
     val p = this.p
-    val toMirrors = masters.zipPartitions(state) { (ms, vs) =>
-      val mb = only(ms); val v = only(vs)
-      val share = global(mb, v)
-      (0 until p).iterator.map(b => (b, (mb.id, (share, scatter(mb, v, b)))))
+    val msgs = blocks.zipPartitions(values) { (bs, vs) =>
+      val b = only(bs); val v = only(vs)
+      val (s, out) = (share(b, v), gather(b, v))
+      (0 until p).iterator.map(c => (c, (b.edges.id, (s, out(c)))))
     }.partitionBy(partitioner)
-    val toMasters = edges.zipPartitions(toMirrors) { (es, msgs) =>
-      val eb = only(es)
-      val shares = new Array[Double](p)
-      val vals = new Array[A](eb.vids.length)
-      val in = bySender(p, msgs)
-      for (m <- 0 until p) {
-        val (share, values) = in(m)
-        shares(m) = share
-        System.arraycopy(values, 0, vals, eb.groupStart(2 * m), values.length)
-      }
-      val acc = gather(eb, vals)
-      (0 until p).iterator.map(m => (m, (eb.id, (shares, acc.slice(eb.repStart(m), eb.repStart(m + 1))))))
-    }.partitionBy(partitioner)
-    masters.zipPartitions(state, toMasters) { (ms, vs, msgs) =>
-      val in = bySender(p, msgs)
-      Iterator(apply(only(ms), only(vs), in.map(_._2), in(0)._1.sum))
+    blocks.zipPartitions(msgs) { (bs, ms) =>
+      val b = only(bs)
+      val in = bySender(p, ms)
+      Iterator(apply(b, in.map(_._2), in.map(_._1).sum))
     }
   }
 
   /** `(ids, values)` of each master block, cached (not released with the
     * graph) and materialized. */
-  def result[V: ClassTag](state: RDD[V]): RDD[(Array[Long], V)] = {
-    val out = masters.zipPartitions(state)((ms, vs) => Iterator((only(ms).ids, only(vs))))
-      .persist()
+  def result[A: ClassTag](values: RDD[Array[A]]): RDD[(Array[Long], Array[A])] = {
+    val out = blocks.zipPartitions(values) { (bs, vs) =>
+      val ids = only(bs).master.ids
+      Iterator((ids, only(vs).slice(0, ids.length)))
+    }.persist()
     out.count()
     out
   }
@@ -305,12 +376,15 @@ private[gas] object BlockGraph {
     val masters = edges.flatMap(MasterBlock.announce(_, p)).partitionBy(partitioner)
       .mapPartitionsWithIndex((m, it) => Iterator(MasterBlock.build(m, p, it)))
       .persist()
-    val n = masters.map(_.ids.length.toLong).collect().sum
+    val directions = masters.flatMap(MasterBlock.directions(_, p)).partitionBy(partitioner)
+    val blocks = edges.zipPartitions(masters, directions)((es, ms, ds) => Iterator(Block.build(only(es), only(ms), p, ds)))
+      .persist()
+    val n = blocks.map(_.master.ids.length.toLong).collect().sum
     rejected.value.asScala.headOption.foreach { why =>
-      edges.unpersist(blocking = false); masters.unpersist(blocking = false)
+      Seq(edges, masters, blocks).foreach(_.unpersist(blocking = false))
       throw new IllegalArgumentException(why)
     }
-    new BlockGraph(p, edges, masters, n)
+    new BlockGraph(p, edges, masters, blocks, n)
   }
 
   /** The one block of a partition; reading its iterator to the end

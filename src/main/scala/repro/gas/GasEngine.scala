@@ -10,16 +10,16 @@ import BlockGraph.only
 /** PowerGraph-like Gather-Apply-Scatter engine over a vertex-cut
   * placement, on the primitive-array blocks of [[BlockGraph]].
   *
-  * Each iteration is the GAS two-level aggregation the real system runs:
-  * a *local* gather per (vertex, partition) — the work each distributed
-  * node does on its own edges — followed by a *master* combine across
-  * partitions, which is exactly the mirror→master synchronization whose
-  * message count the paper's Fig. 8 measures. Values are therefore
-  * identical to a single-machine run, while costs (max per-partition
-  * edges, mirror messages) come from the placement. Messages are folded
-  * in sender order, so results are bitwise identical from call to call.
-  * Every block a call caches is released before it returns, except the
-  * returned result.
+  * Each iteration is the GAS two-level aggregation: a *local* gather per
+  * (vertex, partition) — the work each distributed node does on its own
+  * edges — then a combine of the partials across partitions. Spark ships
+  * each partial in one hop to every block that needs its vertex, where
+  * PowerGraph's mirror→master→mirror takes two; Fig. 8's message counts
+  * come from [[GasTopology]]'s model of the latter. Values are identical to
+  * a single-machine run, while costs (max per-partition edges, mirror
+  * messages) come from the placement. Partials are folded in sender order,
+  * so results are bitwise identical from call to call. Every block a call
+  * caches is released before it returns, except the returned result.
   */
 object GasEngine {
 
@@ -28,9 +28,9 @@ object GasEngine {
     * Standard normalized formulation with dangling-mass redistribution:
     * `r'(v) = (1−d)/n + d·(Σ_{u→v} r(u)/outdeg(u) + dangling/n)`.
     * Ranks sum to 1 every iteration. The dangling mass rides each
-    * superstep's shuffles, so every superstep is built lazily and all of
-    * them run in the one job that materializes the result; their states
-    * stay cached until then.
+    * superstep's exchange, so the supersteps chain lazily, one Spark stage
+    * each, and all of them run in the one job that materializes the result,
+    * with no state cached between them.
     *
     * @param assigned DataFrame `(id, src, dst, part)`
     * @return DataFrame `(v, rank)` for every vertex in the graph
@@ -42,11 +42,10 @@ object GasEngine {
     val g = BlockGraph.load(spark, assigned, undirected = false)
     try {
       val n = g.numVertices.toDouble
-      var ranks = g.keep(g.masters.map(mb => Array.fill(mb.ids.length)(1.0 / n)))
+      var ranks = g.blocks.map(b => Array.fill(b.size)(1.0 / n))
       var it = 0
       while (it < iters && n > 0) {
-        ranks = g.keep(g.superstep(ranks)(danglingMass, scatterRank, gatherSum,
-          applyRank((1.0 - damping) / n, damping, n)))
+        ranks = g.superstep(ranks)(danglingMass, gatherRank, applyRank((1.0 - damping) / n, damping, n))
         it += 1
       }
       resultDF(spark, g.result(ranks), "rank", DoubleType)
@@ -64,11 +63,11 @@ object GasEngine {
     require(maxIters >= 0, s"maxIters must be >= 0, got $maxIters")
     val g = BlockGraph.load(spark, assigned, undirected = true)
     try {
-      var labels = g.keep(g.masters.map(_.ids))
+      var labels = g.keep(g.blocks.map(vertexIds))
       var it = 0
       var converged = g.numVertices == 0
       while (it < maxIters && !converged) {
-        val next = g.keep(g.superstep(labels)((_, _) => 0.0, scatterLabel, gatherMin, applyMin))
+        val next = g.keep(g.superstep(labels)((_, _) => 0.0, gatherMin, applyMin))
         val changed = labels.zipPartitions(next) { (as, bs) =>
           val (a, b) = (only(as), only(bs))
           Iterator(a.indices.count(i => a(i) != b(i)).toLong)
@@ -82,38 +81,36 @@ object GasEngine {
     } finally g.release()
   }
 
-  /** Rank mass on the block's vertices without out-edges. */
-  private def danglingMass(mb: MasterBlock, r: Array[Double]): Double = {
+  /** Rank mass on the block's masters without out-edges, in `ids` order. */
+  private def danglingMass(b: Block, r: Array[Double]): Double = {
+    val outDeg = b.master.outDeg
     var sum = 0.0
     var v = 0
-    while (v < r.length) { if (mb.outDeg(v) == 0) sum += r(v); v += 1 }
+    while (v < outDeg.length) { if (outDeg(v) == 0) sum += r(v); v += 1 }
     sum
   }
 
-  private def scatterRank(mb: MasterBlock, r: Array[Double], b: Int): Array[Double] = {
-    val route = mb.outRoute(b)
-    val out = new Array[Double](route.length)
-    var i = 0
-    while (i < route.length) { out(i) = r(route(i)) / mb.outDeg(route(i)); i += 1 }
-    out
-  }
-
-  private def gatherSum(eb: EdgeBlock, vals: Array[Double]): Array[Double] = {
+  private def gatherRank(b: Block, r: Array[Double]): Array[Array[Double]] = {
+    val eb = b.edges
     val acc = new Array[Double](eb.numReplicas)
     var e = 0
-    while (e < eb.numEdges) { acc(eb.rep(e)) += vals(eb.src(e)); e += 1 }
-    acc
+    while (e < eb.numEdges) {
+      val u = eb.src(e)
+      acc(eb.rep(e)) += r(b.at(u)) / b.srcDeg(u)
+      e += 1
+    }
+    b.shipped(acc)
   }
 
   private def applyRank(base: Double, damping: Double, n: Double)(
-      mb: MasterBlock, r: Array[Double], partials: Array[Array[Double]], dangling: Double): Array[Double] = {
-    val acc = new Array[Double](r.length)
-    var b = 0
-    while (b < partials.length) {
-      val route = mb.inRoute(b); val msg = partials(b)
+      b: Block, partials: Array[Array[Double]], dangling: Double): Array[Double] = {
+    val acc = new Array[Double](b.size)
+    var s = 0
+    while (s < partials.length) {
+      val route = b.recv(s); val msg = partials(s)
       var i = 0
       while (i < msg.length) { acc(route(i)) += msg(i); i += 1 }
-      b += 1
+      s += 1
     }
     val danglingShare = dangling / n
     var v = 0
@@ -121,34 +118,38 @@ object GasEngine {
     acc
   }
 
-  private def scatterLabel(mb: MasterBlock, c: Array[Long], b: Int): Array[Long] = {
-    val route = mb.outRoute(b)
-    val out = new Array[Long](route.length)
-    var i = 0
-    while (i < route.length) { out(i) = c(route(i)); i += 1 }
-    out
+  /** The vertex id of each of the block's values. */
+  private def vertexIds(b: Block): Array[Long] = {
+    val ids = java.util.Arrays.copyOf(b.master.ids, b.size)
+    var s = 0
+    while (s < b.at.length) { if (b.at(s) >= 0) ids(b.at(s)) = b.edges.vids(s); s += 1 }
+    ids
   }
 
-  private def gatherMin(eb: EdgeBlock, vals: Array[Long]): Array[Long] = {
-    val acc = Array.fill(eb.numReplicas)(Long.MaxValue)
+  /** Edges are loaded both ways, so a replica's vertex is a source of the
+    * same block: each partial starts from the vertex's own label. */
+  private def gatherMin(b: Block, c: Array[Long]): Array[Array[Long]] = {
+    val eb = b.edges
+    val acc = new Array[Long](eb.numReplicas)
+    var r = 0
+    while (r < acc.length) { acc(r) = c(b.at(eb.repVertex(r))); r += 1 }
     var e = 0
     while (e < eb.numEdges) {
       val r = eb.rep(e)
-      acc(r) = math.min(acc(r), vals(eb.src(e)))
+      acc(r) = math.min(acc(r), c(b.at(eb.src(e))))
       e += 1
     }
-    acc
+    b.shipped(acc)
   }
 
-  private def applyMin(mb: MasterBlock, c: Array[Long], partials: Array[Array[Long]],
-                       unused: Double): Array[Long] = {
-    val next = c.clone()
-    var b = 0
-    while (b < partials.length) {
-      val route = mb.inRoute(b); val msg = partials(b)
+  private def applyMin(b: Block, partials: Array[Array[Long]], unused: Double): Array[Long] = {
+    val next = Array.fill(b.size)(Long.MaxValue)
+    var s = 0
+    while (s < partials.length) {
+      val route = b.recv(s); val msg = partials(s)
       var i = 0
       while (i < msg.length) { next(route(i)) = math.min(next(route(i)), msg(i)); i += 1 }
-      b += 1
+      s += 1
     }
     next
   }

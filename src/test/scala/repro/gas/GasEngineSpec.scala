@@ -5,7 +5,7 @@ import java.util.concurrent.atomic.AtomicInteger
 
 import scala.jdk.CollectionConverters._
 
-import org.apache.spark.SpecBus
+import org.apache.spark.{SpecBus, SpecConf}
 import org.apache.spark.rdd.RDD
 import org.apache.spark.scheduler.{SparkListener, SparkListenerJobStart, SparkListenerStageSubmitted,
   SparkListenerUnpersistRDD}
@@ -282,6 +282,94 @@ class GasEngineSpec extends SparkSpec {
     assert(ranks.map(_._1).sameElements((0 until s.numVertices).map(_.toLong)))
     ranks.foreach { case (v, r) =>
       assert(math.abs(r - ref(v.toInt)) < 1e-9, s"v=$v got $r want ${ref(v.toInt)}")
+    }
+  }
+
+  /** The number of stages `call` submits, and the ids of the RDDs cached
+    * in them. */
+  private def stagesRun(call: => Any): (Int, Set[Int]) = {
+    val sc = spark.sparkContext
+    val stages = new AtomicInteger
+    val cached = ConcurrentHashMap.newKeySet[Int]()
+    val listener = new SparkListener {
+      override def onStageSubmitted(e: SparkListenerStageSubmitted): Unit = {
+        stages.incrementAndGet()
+        e.stageInfo.rddInfos.foreach(r => if (r.storageLevel.isValid) cached.add(r.id))
+      }
+    }
+    SpecBus.drain(sc)
+    sc.addSparkListener(listener)
+    try { call; SpecBus.drain(sc); (stages.get, cached.asScala.toSet) }
+    finally sc.removeSparkListener(listener)
+  }
+
+  test("a pageRank superstep is one Spark stage") {
+    val (_, df) = assigned(4)
+    val (two, twelve) = (stagesRun(engineRanks(df, 2))._1, stagesRun(engineRanks(df, 12))._1)
+    assert(twelve - two == 10, s"iters=2 ran $two stages, iters=12 ran $twelve")
+  }
+
+  test("pageRank caches the same RDDs at any iteration count") {
+    val (_, df) = assigned(4)
+    val (two, twelve) = (stagesRun(engineRanks(df, 2))._2, stagesRun(engineRanks(df, 12))._2)
+    assert(two.size == twelve.size, s"iters=2 cached $two, iters=12 cached $twelve")
+  }
+
+  /** Edges `(src, dst, part)` on which, at P = 3 and at P = 4, one block
+    * gets no edge and masters no vertex: vertex ids are ≡ 0, 1 or 10 and
+    * parts ≡ 0, 1 or 6 (mod 12). A shuffled path, so labels need many
+    * iterations to settle, and random edges among the other vertices. */
+  private def oneEmptyBlock: DataFrame = {
+    val rnd = new scala.util.Random(7)
+    def id(v: Int) = 12L * (v / 3) + Array(0, 1, 10)(v % 3)
+    val path = rnd.shuffle((0 until 40).toList)
+    val edges = path.zip(path.tail) ++ Seq.fill(60)((40 + rnd.nextInt(50), 40 + rnd.nextInt(50)))
+    spark.createDataFrame(edges.zipWithIndex.map { case ((u, v), e) =>
+      (e.toLong, id(u), id(v), Array(0, 1, 6)(rnd.nextInt(3)))
+    }).toDF("id", "src", "dst", "part")
+  }
+
+  test("connectedComponents labels are bitwise the two-exchange reference's at P = 3 and P = 4") {
+    val df = oneEmptyBlock
+    for (p <- Seq(3, 4)) SpecConf.withDefaultParallelism(spark.sparkContext, p) {
+      val g = BlockGraph.load(spark, df, undirected = true)
+      try assert(g.blocks.filter(b => b.edges.numEdges == 0 && b.master.ids.isEmpty).count() == 1, s"p=$p")
+      finally g.release()
+    }
+    for (p <- Seq(3, 4); maxIters <- Seq(1, 2, 50)) SpecConf.withDefaultParallelism(spark.sparkContext, p) {
+      val (labels, iters) = GasEngine.connectedComponents(spark, df, maxIters)
+      val got = labels.collect().map(r => (r.getLong(0), r.getLong(1))).sortBy(_._1)
+      val (want, wantIters) = TwoExchange.components(spark, df, maxIters)
+      assert(iters == wantIters, s"p=$p maxIters=$maxIters")
+      assert(got.sameElements(want), s"p=$p maxIters=$maxIters")
+    }
+  }
+
+  test("pageRank ranks are bitwise the reference's at P = 3 and P = 4 with one empty block") {
+    val df = oneEmptyBlock
+    for (p <- Seq(3, 4)) SpecConf.withDefaultParallelism(spark.sparkContext, p) {
+      assertReferenceRanks(df, s"p=$p")
+    }
+  }
+
+  test("a superstep ships one partial per (dst replica, block that sources or masters its vertex)") {
+    val p = 3
+    // vertex 5 has three dst replicas, two of them on block 0 (parts 0 and 3)
+    val edges = Seq((0L, 5L, 0), (1L, 5L, 1), (2L, 5L, 3), (5L, 1L, 1), (5L, 2L, 2), (4L, 0L, 2))
+    val df = spark.createDataFrame(edges.zipWithIndex.map { case ((s, d, q), e) => (e.toLong, s, d, q) })
+      .toDF("id", "src", "dst", "part")
+    def block(q: Int) = java.lang.Math.floorMod(q, p)
+    val sources = edges.groupBy(_._1).map { case (v, es) => v -> es.map(e => block(e._3)).toSet }
+    val formula = edges.map(e => (e._3, e._2)).distinct
+      .map { case (_, v) => (sources.getOrElse(v, Set.empty[Int]) + EdgeBlock.masterOf(v, p)).size }.sum
+    assert(formula == 10)
+    SpecConf.withDefaultParallelism(spark.sparkContext, p) {
+      val g = BlockGraph.load(spark, df, undirected = false)
+      try {
+        val counts = g.blocks.map(b => (b.send.map(_.length).sum, b.recv.map(_.length).sum)).collect()
+        assert(counts.map(_._1).sum == formula && counts.map(_._2).sum == formula, counts.mkString(" "))
+      } finally g.release()
+      assertReferenceRanks(df, "hand graph")
     }
   }
 }

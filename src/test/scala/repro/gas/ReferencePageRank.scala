@@ -8,8 +8,8 @@ import BlockGraph.only
 /** The reference for [[GasEngine.pageRank]]: the loop it replaced, which
   * ends every superstep with a driver job that collects each master block's
   * dangling mass and sums it in block order, then passes the sum into the
-  * next superstep's apply. Tests assert the engine's ranks are bitwise
-  * equal to its ranks.
+  * next superstep's apply, on the two-exchange superstep of [[TwoExchange]].
+  * Tests assert the engine's ranks are bitwise equal to its ranks.
   */
 object ReferencePageRank {
 
@@ -23,7 +23,7 @@ object ReferencePageRank {
       var dangling = danglingMass(g, ranks)
       var it = 0
       while (it < iters && n > 0) {
-        val next = g.keep(g.superstep(ranks)((_, _) => 0.0, scatterRank, gatherSum,
+        val next = g.keep(TwoExchange.superstep(g, ranks)((_, _) => 0.0, scatterRank, gatherSum,
           applyRank((1.0 - damping) / n, damping, dangling / n)))
         dangling = danglingMass(g, next)
         g.drop(ranks)
