@@ -1,5 +1,9 @@
 package repro.bench
 
+import java.util.concurrent.atomic.AtomicLong
+
+import org.apache.spark.SpecBus
+import org.apache.spark.scheduler.{SparkListener, SparkListenerStageCompleted}
 import org.apache.spark.sql.functions._
 import repro.SparkSpec
 import repro.core.Metrics
@@ -67,8 +71,23 @@ class F8RealSystemBench extends SparkSpec {
     // re-run CLUGP to get the assignment (cached RunResult keeps metrics only)
     val part = repro.core.Clugp.run(s, k).part
     val assigned = Metrics.assignmentDF(spark, s, part)
+    // stages, tasks and shuffle bytes of the PageRank call, read from the listener bus
+    val (stages, tasks, shuffleBytes) = (new AtomicLong, new AtomicLong, new AtomicLong)
+    val listener = new SparkListener {
+      override def onStageCompleted(e: SparkListenerStageCompleted): Unit = {
+        stages.incrementAndGet(); tasks.addAndGet(e.stageInfo.numTasks)
+        shuffleBytes.addAndGet(e.stageInfo.taskMetrics.shuffleWriteMetrics.bytesWritten)
+      }
+    }
+    val sc = spark.sparkContext
+    SpecBus.drain(sc)
+    sc.addSparkListener(listener)
     val t0 = System.nanoTime()
-    val ranks = GasEngine.pageRank(spark, assigned, iters = 5)
+    val ranks = try {
+      val df = GasEngine.pageRank(spark, assigned, iters = 5)
+      SpecBus.drain(sc)
+      df
+    } finally sc.removeSparkListener(listener)
     val total = ranks.agg(sum("rank")).collect()(0).getDouble(0)
     val prMs = (System.nanoTime() - t0) / 1000000
     assert(math.abs(total - 1.0) < 1e-6)
@@ -80,6 +99,12 @@ class F8RealSystemBench extends SparkSpec {
       Seq("workload", "iters", "result", "wall_ms"),
       Seq(Seq("pagerank", "5", f"sum=$total%.6f", prMs.toString),
           Seq("connected-components", ccIters.toString, s"components=$nComp", ccMs.toString)))
+    // the simulator's one-hop Spark exchange next to the PowerGraph message model
+    BenchData.emit(s"F8 GAS engine Spark work ($ds, k=$k, CLUGP placement, pagerank 5 iters, " +
+      s"P=${sc.defaultParallelism})",
+      Seq("stages", "tasks", "shuffle_write_bytes", "model_msgs_per_iter"),
+      Seq(Seq(stages.get, tasks.get, shuffleBytes.get, topos.toMap.apply(r.algo).messagesPerIteration)
+        .map(_.toString)))
     assert(nComp >= 1 && r.rf >= 1.0)
   }
 }

@@ -9,6 +9,9 @@ object SpecConf {
     val key = "spark.default.parallelism"
     val before = sc.conf.getOption(key)
     sc.conf.set(key, p.toString)
-    try { require(sc.defaultParallelism == p, s"defaultParallelism is ${sc.defaultParallelism}, not $p"); body } finally before.fold(sc.conf.remove(key))(sc.conf.set(key, _))
+    try {
+      require(sc.defaultParallelism == p, s"defaultParallelism is ${sc.defaultParallelism}, not $p")
+      body
+    } finally before.fold(sc.conf.remove(key))(sc.conf.set(key, _))
   }
 }
